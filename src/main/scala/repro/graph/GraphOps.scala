@@ -35,55 +35,45 @@ object GraphOps {
       .agg(count(lit(1)).cast(LongType) as "degree")
   }
 
-  /** Connected-component ids via iterative min-label propagation.
-    *
-    * Each round every node adopts the minimum component id in its closed
-    * neighborhood; rounds repeat until no id changes (≤ diameter rounds —
-    * small for the social graphs generated here). `localCheckpoint` truncates
-    * the lineage each round so the plan does not grow with the iteration
-    * count. Returns (node, component) for every endpoint in `edges`.
-    */
-  def connectedComponents(spark: SparkSession, edges: DataFrame,
-                          maxIter: Int = 60): DataFrame = {
-    val sym = symmetrize(edges).persist()
-    var comp = sym.select(col("u") as "node").distinct()
-      .select(col("node"), col("node") as "component")
-      .localCheckpoint()
-    var changed = 1L
-    var iter = 0
-    while (changed > 0 && iter < maxIter) {
-      val neighborMin = sym
-        .join(comp.withColumnRenamed("node", "v"), Seq("v"))
-        .groupBy(col("u") as "node")
-        .agg(min(col("component")) as "ncomp")
-      val next = comp.join(neighborMin, Seq("node"))
-        .select(col("node"), least(col("component"), col("ncomp")) as "component")
-        .localCheckpoint()
-      changed = next.join(comp.withColumnRenamed("component", "old"), Seq("node"))
-        .where(col("component") =!= col("old")).count()
-      comp = next
-      iter += 1
-    }
-    sym.unpersist()
-    require(changed == 0, s"connectedComponents did not converge in $maxIter rounds")
-    comp
-  }
-
   /** Largest connected component of a canonical edge list, with node ids
     * remapped to the contiguous range [0, |V_lcc|) (ascending by original
     * id, so the remap is deterministic). Returns (edges, nodeMap) where
     * nodeMap is (node, newId).
+    *
+    * The component comes from one union-find over the collected edge list:
+    * the driver holds the graph anyway once it becomes a [[CsrGraph]]. Of
+    * equal-size components the one holding the smallest node id is kept.
+    * Only the sorted node array is local; the remapped edges are joined
+    * from `edges`.
     */
   def largestComponent(spark: SparkSession, edges: DataFrame): (DataFrame, DataFrame) = {
-    val comp = connectedComponents(spark, edges)
-    val top = comp.groupBy("component").agg(count(lit(1)) as "sz")
-      .orderBy(desc("sz"), asc("component")).limit(1)
-      .select("component")
-    val keep = comp.join(top, Seq("component")).select("node")
-    val nodeMap = keep
-      .withColumn("newId", row_number().over(
-        org.apache.spark.sql.expressions.Window.orderBy("node")) - 1)
-      .select(col("node"), col("newId").cast(LongType) as "newId")
+    val es = edges.select("src", "dst").collect()
+    val ids = es.flatMap(r => Array(r.getLong(0), r.getLong(1))).sorted
+    var k = 0 // dedupe in place: the distinct endpoint ids are ids[0, k)
+    ids.foreach { x => if (k == 0 || ids(k - 1) != x) { ids(k) = x; k += 1 } }
+    def index(node: Long) = java.util.Arrays.binarySearch(ids, 0, k, node)
+    // union-find over endpoint indices; a root is always its set's minimum
+    val parent = Array.range(0, k)
+    val size = Array.fill(k)(1)
+    def find(x: Int): Int = {
+      var r = x
+      while (parent(r) != r) { parent(r) = parent(parent(r)); r = parent(r) }
+      r
+    }
+    es.foreach { r =>
+      val a = find(index(r.getLong(0))); val b = find(index(r.getLong(1)))
+      if (a != b) {
+        val (lo, hi) = if (a < b) (a, b) else (b, a)
+        parent(hi) = lo; size(lo) += size(hi)
+      }
+    }
+    // maxBy keeps the first maximum: the largest component with the smallest id
+    val best = (0 until k).maxByOption(i => if (parent(i) == i) size(i) else 0)
+    val keep = (0 until k).filter(i => best.contains(find(i))).map(ids).toArray
+    // newId is a position in `keep`, so the plan holds only that primitive array
+    val nodeAt = udf((i: Long) => keep(i.toInt))
+    val nodeMap = spark.range(keep.length)
+      .select(nodeAt(col("id")) as "node", col("id") as "newId")
     val remapped = edges
       .join(nodeMap.withColumnRenamed("node", "src").withColumnRenamed("newId", "s2"), Seq("src"))
       .join(nodeMap.withColumnRenamed("node", "dst").withColumnRenamed("newId", "d2"), Seq("dst"))

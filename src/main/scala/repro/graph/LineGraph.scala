@@ -2,10 +2,6 @@ package repro.graph
 
 import java.util.SplittableRandom
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types._
-
 /** Line-graph substrate for the EX-* baselines.
   *
   * The baselines of Li et al. walk on G' = (H, R), where H = E(G) and two
@@ -17,18 +13,6 @@ import org.apache.spark.sql.types._
   * graph has no multi-edges).
   */
 object LineGraph {
-
-  /** d'(src,dst) = d(src)+d(dst)-2 for every edge, as a DataFrame
-    * (src, dst, lineDegree) — the bulk counterpart of the local formula,
-    * used for tests and stats.
-    */
-  def lineDegrees(edges: DataFrame, degrees: DataFrame): DataFrame = {
-    edges
-      .join(degrees.withColumnRenamed("node", "src").withColumnRenamed("degree", "ds"), Seq("src"))
-      .join(degrees.withColumnRenamed("node", "dst").withColumnRenamed("degree", "dd"), Seq("dst"))
-      .select(col("src"), col("dst"),
-              (col("ds") + col("dd") - 2).cast(LongType) as "lineDegree")
-  }
 
   /** The degree of edge (u,v) in G'. */
   def lineDegree(g: CsrGraph, u: Int, v: Int): Int = g.degree(u) + g.degree(v) - 2

@@ -26,6 +26,7 @@ object SocialGraphGen {
     * a≈0.67 gives γ≈2.5, typical for OSNs.
     */
   private def powerLawRank(n: Long, a: Double, i0: Double, seed: Long) = {
+    require(a != 1.0, "alpha = 1 is singular: every endpoint would map to node 0")
     val hi   = math.pow(n + i0, 1.0 - a)
     val lo   = math.pow(i0, 1.0 - a)
     val u    = rand(seed)
@@ -71,6 +72,7 @@ object SocialGraphGen {
     // applied as a chained expression via a little binary search in SQL:
     // for tractability we use the continuous approximation (same as the
     // endpoint draw) which preserves the skew shape.
+    require(s != 1.0, "s = 1 is singular: every node would get label 1")
     val a    = s
     val hi   = math.pow(nLabels + 1.0, 1.0 - a)
     val lo   = 1.0

@@ -53,14 +53,7 @@ class GraphOpsSpec extends SparkSpec {
       "edges" -> edges)
   }
 
-  test("connectedComponents: single component on a connected graph") {
-    val g = TestGraphs.connectedRandom(30, 40, seed = 13)
-    val comp = GraphOps.connectedComponents(spark, TestGraphs.edgesDf(spark, g))
-    assert(comp.select("component").distinct().count() == 1)
-    assert(comp.count() == g.numNodes)
-  }
-
-  test("connectedComponents matches union-find on multi-component graphs") {
+  test("largestComponent matches union-find on multi-component graphs") {
     for (seed <- 1 to 3) {
       val rng = new java.util.SplittableRandom(seed)
       val n = 60
@@ -69,16 +62,24 @@ class GraphOpsSpec extends SparkSpec {
         .filter { case (u, v) => u != v }
         .map { case (u, v) => (math.min(u, v).toLong, math.max(u, v).toLong) }
         .distinct
-      val df = es.toDF("src", "dst")
-      val comp = GraphOps.connectedComponents(spark, df).collect()
-        .map(r => r.getLong(0).toInt -> r.getLong(1).toInt).toMap
+      val (_, nodeMap) = GraphOps.largestComponent(spark, es.toDF("src", "dst"))
+      val map = nodeMap.collect().map(r => (r.getLong(0), r.getLong(1))).sortBy(_._2)
       val oracle = TestGraphs.unionFindComponents(n, es.map(p => (p._1.toInt, p._2.toInt)))
-      // same partition: two touched nodes share a component iff oracle agrees
-      val touched = comp.keys.toSeq
-      for (a <- touched; b <- touched) {
-        assert((comp(a) == comp(b)) == (oracle(a) == oracle(b)), s"($a,$b) seed=$seed")
-      }
+      val touched = es.flatMap(p => Seq(p._1.toInt, p._2.toInt)).distinct
+      val largest = touched.groupBy(oracle(_)).values.map(_.sorted)
+        .maxBy(c => (c.size, -c.head))
+      assert(map.map(_._1.toInt).toSeq == largest, s"seed=$seed")
+      assert(map.map(_._2).toSeq == (0L until largest.size), s"seed=$seed")
     }
+  }
+
+  test("largestComponent breaks a size tie toward the smaller node id") {
+    // two triangles: {20,21,22} and {5,6,7}
+    val df = rawDf((20L, 21L), (21L, 22L), (20L, 22L), (5L, 6L), (6L, 7L), (5L, 7L))
+    val (edges, nodeMap) = GraphOps.largestComponent(spark, df)
+    val map = nodeMap.collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
+    assert(map == Map(5L -> 0L, 6L -> 1L, 7L -> 2L))
+    assert(edges.count() == 3)
   }
 
   test("largestComponent keeps the bigger side and remaps to [0, n)") {

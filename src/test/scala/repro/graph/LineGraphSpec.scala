@@ -16,17 +16,6 @@ class LineGraphSpec extends SparkSpec {
     assert(LineGraph.lineDegree(path, 1, 2) == 2)
   }
 
-  test("lineDegrees DataFrame matches the local formula on every edge") {
-    val g = TestGraphs.connectedRandom(35, 55, seed = 21)
-    val edges = TestGraphs.edgesDf(spark, g)
-    val df = LineGraph.lineDegrees(edges, GraphOps.degrees(edges)).collect()
-      .map(r => (r.getLong(0).toInt, r.getLong(1).toInt) -> r.getLong(2)).toMap
-    assert(df.size.toLong == g.numEdges)
-    df.foreach { case ((u, v), ld) =>
-      assert(ld == LineGraph.lineDegree(g, u, v).toLong, s"edge ($u,$v)")
-    }
-  }
-
   test("lineDegree equals the true number of adjacent edges") {
     val g = TestGraphs.connectedRandom(25, 40, seed = 22)
     val es = TestGraphs.edgeList(g)

@@ -78,6 +78,14 @@ class SocialGraphGenSpec extends SparkSpec {
     assert(out == Map(0L -> 1, 1L -> 2, 2L -> 3, 3L -> 1024))
   }
 
+  test("candidateEdges rejects the singular exponent alpha = 1") {
+    intercept[IllegalArgumentException](SocialGraphGen.candidateEdges(spark, 100, 500, 1.0, 10.0, 1))
+  }
+
+  test("zipfLabels rejects the singular exponent s = 1") {
+    intercept[IllegalArgumentException](SocialGraphGen.zipfLabels(spark, 100, nLabels = 10, s = 1.0))
+  }
+
   test("candidateEdges emits exactly m rows") {
     assert(SocialGraphGen.candidateEdges(spark, 100, 500, 0.67, 10.0, 1).count() == 500)
   }
