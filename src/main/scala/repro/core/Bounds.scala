@@ -1,14 +1,13 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 /** Sample-size bounds of Theorems 4.1–4.5 for an (ε,δ)-approximation,
-  * computed from exact graph statistics with DataFrame aggregations
-  * (Tables 18–22 use ε = δ = 0.1).
+  * computed from exact graph statistics (Tables 18–22 use ε = δ = 0.1).
   *
-  * Inputs: nV = |V|, nE = |E|, f = F (exact target count), and
-  * `incident` = the (node, degree, t) DataFrame with T(u) per node.
+  * Inputs: nV = |V|, nE = |E|, f = F (exact target count), and for the
+  * NeighborExploration bounds the per-node arrays `degree` = d(u) and
+  * `t` = T(u), indexed alike.
   */
 object Bounds {
 
@@ -31,61 +30,63 @@ object Bounds {
     math.log((1.0 + b) / b) / math.log(1.0 / a)
   }
 
+  /** Σ_u 2|E|·T(u)²/d(u) = Σ_u T(u)²/π_u, π_u = d(u)/2|E|. */
+  private def sumTSquaredOverPi(degree: Array[Int], t: Array[Int], nE: Long): Double =
+    degree.indices.map(u => 2.0 * nE * t(u) * t(u) / degree(u)).sum
+
   /** Theorem 4.3 — NeighborExploration-HH:
     * k ≥ (Σ_u 2|E|T(u)²/d(u) − 4F²) / (4ε²F²δ).
     */
-  def neHansenHurwitz(incident: DataFrame, nE: Long, f: Long,
-                      eps: Double, delta: Double): Double = {
-    val s = incident
-      .agg(sum(lit(2.0) * nE * col("t") * col("t") / col("degree")) as "s")
-      .head.getDouble(0)
-    (s - 4.0 * f * f) / (4.0 * eps * eps * f.toDouble * f * delta)
-  }
+  def neHansenHurwitz(degree: Array[Int], t: Array[Int], nE: Long, f: Long,
+                      eps: Double, delta: Double): Double =
+    (sumTSquaredOverPi(degree, t, nE) - 4.0 * f * f) / (4.0 * eps * eps * f.toDouble * f * delta)
 
   /** Theorem 4.4 — NeighborExploration-HT:
     * k ≥ max_y log((T(y)²+B)/B) / log(1/A(y)),
     * A(y) = 1 − d(y)/2|E|, B = 4δε²F²/|V|.
     */
-  def neHorvitzThompson(incident: DataFrame, nV: Long, nE: Long, f: Long,
+  def neHorvitzThompson(degree: Array[Int], t: Array[Int], nV: Long, nE: Long, f: Long,
                         eps: Double, delta: Double): Double = {
     val b = 4.0 * delta * eps * eps * f.toDouble * f / nV
-    incident
-      .select((log((col("t") * col("t") + b) / b) /
-               -log(lit(1.0) - col("degree") / (2.0 * nE))) as "k")
-      .agg(max(col("k")) as "k").head.getDouble(0)
+    degree.indices.map { u =>
+      math.log((t(u).toDouble * t(u) + b) / b) / -math.log(1.0 - degree(u) / (2.0 * nE))
+    }.max
   }
 
   /** Theorem 4.5 — NeighborExploration-RW:
     * k ≥ max{ 18(Σ_y T(y)²/π_y − 4F²)/(4ε²F²δ),
     *          18(Σ_y 1/π_y − |V|²)/(ε²|V|²δ) },  π_y = d(y)/2|E|.
     */
-  def neReweighted(incident: DataFrame, nV: Long, nE: Long, f: Long,
+  def neReweighted(degree: Array[Int], t: Array[Int], nV: Long, nE: Long, f: Long,
                    eps: Double, delta: Double): Double = {
-    val row = incident.agg(
-      sum(lit(2.0) * nE * col("t") * col("t") / col("degree")) as "sT",
-      sum(lit(2.0) * nE / col("degree")) as "sInv",
-    ).head
-    val kT = 18.0 * (row.getDouble(0) - 4.0 * f * f) /
+    val sInv = degree.map(d => 2.0 * nE / d).sum
+    val kT = 18.0 * (sumTSquaredOverPi(degree, t, nE) - 4.0 * f * f) /
              (4.0 * eps * eps * f.toDouble * f * delta)
-    val kZ = 18.0 * (row.getDouble(1) - nV.toDouble * nV) /
-             (eps * eps * nV.toDouble * nV * delta)
+    val kZ = 18.0 * (sInv - nV.toDouble * nV) / (eps * eps * nV.toDouble * nV * delta)
     math.max(kT, kZ)
   }
 
-  /** All five bounds for one (dataset, label) — one row of Tables 18–22.
-    * `incident` must carry (node, degree, t).
+  /** All five bounds for one (dataset, label) — one row of Tables 18–22 —
+    * from d(u) and T(u) of every node.
+    */
+  def fromCounts(degree: Array[Int], t: Array[Int], nV: Long, nE: Long, f: Long,
+                 eps: Double = 0.1, delta: Double = 0.1): SampleBounds = {
+    require(f > 0, s"every bound divides by F², so F must be positive, got $f")
+    SampleBounds(
+      nsHH = nsHansenHurwitz(nE, f, eps, delta),
+      nsHT = nsHorvitzThompson(nE, f, eps, delta),
+      neHH = neHansenHurwitz(degree, t, nE, f, eps, delta),
+      neHT = neHorvitzThompson(degree, t, nV, nE, f, eps, delta),
+      neRW = neReweighted(degree, t, nV, nE, f, eps, delta),
+    )
+  }
+
+  /** [[fromCounts]] over an `incident` DataFrame carrying (degree: Long,
+    * t: Long) per node.
     */
   def all(incident: DataFrame, nV: Long, nE: Long, f: Long,
           eps: Double = 0.1, delta: Double = 0.1): SampleBounds = {
-    val cached = incident.cache()
-    val r = SampleBounds(
-      nsHH = nsHansenHurwitz(nE, f, eps, delta),
-      nsHT = nsHorvitzThompson(nE, f, eps, delta),
-      neHH = neHansenHurwitz(cached, nE, f, eps, delta),
-      neHT = neHorvitzThompson(cached, nV, nE, f, eps, delta),
-      neRW = neReweighted(cached, nV, nE, f, eps, delta),
-    )
-    cached.unpersist()
-    r
+    val rows = incident.select("degree", "t").collect()
+    fromCounts(rows.map(_.getLong(0).toInt), rows.map(_.getLong(1).toInt), nV, nE, f, eps, delta)
   }
 }

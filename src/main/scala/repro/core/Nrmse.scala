@@ -2,8 +2,8 @@ package repro.core
 
 import java.util.SplittableRandom
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 
 import repro.baselines.LineGraphWalks
 import repro.graph.CsrGraph
@@ -12,8 +12,10 @@ import repro.graph.CsrGraph
   *
   * The walk itself is sequential; the parallel dimension is the paper's 200
   * independent simulations per table cell. The CSR graph is broadcast once
-  * and an RDD of simulation indices fans the walks out across cores; NRMSE
-  * aggregation over (algorithm, budget) is a Catalyst groupBy.
+  * and an RDD of simulation indices fans the walks out across cores. The
+  * estimates are collected once and NRMSE over (algorithm, budget) is
+  * aggregated on the driver, in simulation order, so a grid does not depend
+  * on how the simulations were partitioned.
   */
 object Nrmse {
 
@@ -43,48 +45,67 @@ object Nrmse {
     ns ++ ne ++ ex
   }
 
+  /** Simulations `0 until sims` as (sim, its (algorithm, k, estimate) rows),
+    * run over a broadcast of `g`.
+    */
+  private def fanOut(spark: SparkSession, g: CsrGraph, t1: Int, t2: Int,
+                     checkpoints: Seq[Int], burnInSteps: Int, sims: Int,
+                     seedBase: Long, includeBaselines: Boolean): RDD[(Int, Seq[(String, Int, Double)])] = {
+    require(sims > 0, s"sims must be positive, got $sims")
+    val bc = spark.sparkContext.broadcast(g)
+    val slices = math.min(sims, spark.sparkContext.defaultParallelism * 2)
+    spark.sparkContext
+      .parallelize(0 until sims, slices)
+      .map(sim => sim -> simulate(bc.value, t1, t2, checkpoints, burnInSteps,
+                                  seedBase + sim, includeBaselines = includeBaselines))
+  }
+
   /** Raw estimates over `sims` independent simulations as a DataFrame
-    * (algorithm, k, sim, estimate). Walks run inside mapPartitions over a
-    * broadcast graph.
+    * (algorithm, k, sim, estimate).
     */
   def estimates(spark: SparkSession, g: CsrGraph, t1: Int, t2: Int,
                 checkpoints: Seq[Int], burnInSteps: Int, sims: Int,
                 seedBase: Long, includeBaselines: Boolean = true): DataFrame = {
     import spark.implicits._
-    val bc = spark.sparkContext.broadcast(g)
-    val slices = math.min(sims, spark.sparkContext.defaultParallelism * 2)
-    spark.sparkContext
-      .parallelize(0 until sims, slices)
-      .flatMap { sim =>
-        simulate(bc.value, t1, t2, checkpoints, burnInSteps,
-                 seedBase + sim, includeBaselines = includeBaselines)
-          .map { case (alg, k, est) => (alg, k, sim, est) }
-      }
+    fanOut(spark, g, t1, t2, checkpoints, burnInSteps, sims, seedBase, includeBaselines)
+      .flatMap { case (sim, rows) => rows.map { case (alg, k, est) => (alg, k, sim, est) } }
       .toDF("algorithm", "k", "sim", "estimate")
   }
 
-  /** NRMSE(F̂) = sqrt(E[(F̂−F)²])/F per (algorithm, k) — paper Eq. 24. */
-  def nrmse(estimatesDf: DataFrame, f: Long): DataFrame = {
-    estimatesDf
-      .groupBy("algorithm", "k")
-      .agg((sqrt(avg(pow(col("estimate") - f, 2))) / f) as "nrmse")
+  /** NRMSE(F̂) = sqrt(E[(F̂−F)²])/F per (algorithm, k) — paper Eq. 24 —
+    * over (algorithm, k, estimate) rows, summed in row order.
+    */
+  private def aggregate(rows: Seq[(String, Int, Double)], f: Long): Map[String, Map[Int, Double]] = {
+    require(f > 0, s"NRMSE divides by F, which must be positive, got $f")
+    rows.groupMap(_._1)(r => r._2 -> r._3).map { case (alg, byK) =>
+      alg -> byK.groupMap(_._1)(_._2).map { case (k, ests) =>
+        k -> math.sqrt(ests.map(e => (e - f) * (e - f)).sum / ests.size) / f
+      }
+    }
   }
 
-  /** End-to-end: (algorithm, k, nrmse), collected as a nested map
-    * algorithm -> k -> NRMSE for table printing.
+  /** [[aggregate]] over an (algorithm, k, sim, estimate) DataFrame, as
+    * (algorithm, k, nrmse).
+    */
+  def nrmse(estimatesDf: DataFrame, f: Long): DataFrame = {
+    val spark = estimatesDf.sparkSession
+    import spark.implicits._
+    val rows = estimatesDf.select("algorithm", "k", "estimate").collect()
+      .map(r => (r.getString(0), r.getInt(1), r.getDouble(2)))
+    val cells = for ((alg, byK) <- aggregate(rows.toSeq, f).toSeq; (k, v) <- byK) yield (alg, k, v)
+    cells.toDF("algorithm", "k", "nrmse")
+  }
+
+  /** End-to-end: algorithm -> k -> NRMSE for table printing, from one Spark
+    * job over the simulations.
     */
   def run(spark: SparkSession, g: CsrGraph, t1: Int, t2: Int,
           checkpoints: Seq[Int], burnInSteps: Int, sims: Int, f: Long,
           seedBase: Long = 42L,
           includeBaselines: Boolean = true): Map[String, Map[Int, Double]] = {
-    val df = nrmse(
-      estimates(spark, g, t1, t2, checkpoints, burnInSteps, sims, seedBase,
-                includeBaselines), f)
-    df.collect()
-      .groupBy(_.getString(0))
-      .map { case (alg, rows) =>
-        alg -> rows.map(r => r.getInt(1) -> r.getDouble(2)).toMap
-      }
+    val perSim = fanOut(spark, g, t1, t2, checkpoints, burnInSteps, sims, seedBase, includeBaselines)
+      .collect()
+    aggregate(perSim.toSeq.flatMap(_._2), f)
   }
 
   /** The paper's budget grid: k = {0.5%, 1.0%, …, 5.0%}·|V| (ceil, ≥1). */

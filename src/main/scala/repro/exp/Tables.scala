@@ -1,9 +1,8 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
 
-import repro.core.{Bounds, GroundTruth, Nrmse}
+import repro.core.{Bounds, Nrmse}
 
 /** Paper-style table production: runs the NRMSE grids and bounds for a
   * dataset and renders rows in the layout of Tables 4–26.
@@ -50,15 +49,16 @@ object Tables {
     NrmseTable(built.name, pair, built.nE, cps, built.nV, results)
   }
 
-  /** One row of Tables 18–22: the five Theorem 4.1–4.5 bounds for a pair. */
+  /** One row of Tables 18–22: the five Theorem 4.1–4.5 bounds for a pair,
+    * from d(u) and T(u) read off the CSR graph.
+    */
   def boundsRow(spark: SparkSession, built: Datasets.Built,
                 pair: Datasets.LabelPair,
                 eps: Double = 0.1, delta: Double = 0.1): Bounds.SampleBounds = {
-    val incident = GroundTruth
-      .incidentTargetCounts(built.edges, built.labels, pair.t1, pair.t2)
-      .join(built.degrees, Seq("node"))
-      .select(col("node"), col("degree"), col("t"))
-    Bounds.all(incident, built.nV, built.nE, pair.f, eps, delta)
+    val g = built.g
+    Bounds.fromCounts(Array.tabulate(g.numNodes)(g.degree),
+                      Array.tabulate(g.numNodes)(g.targetEdgesAt(_, pair.t1, pair.t2)),
+                      built.nV, built.nE, pair.f, eps, delta)
   }
 
   def renderBounds(dataset: String, rows: Seq[(Datasets.LabelPair, Bounds.SampleBounds)]): String = {

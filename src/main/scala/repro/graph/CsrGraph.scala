@@ -1,5 +1,7 @@
 package repro.graph
 
+import scala.collection.immutable.ArraySeq
+
 import org.apache.spark.sql.DataFrame
 
 /** Compact in-memory labeled graph in CSR form — the "restricted API".
@@ -107,7 +109,7 @@ object CsrGraph {
         case x       => x.toString.toInt
       }))
     val n = ls.map(_._1).max + 1
-    fromEdges(n, es, ls)
+    fromEdges(n, ArraySeq.unsafeWrapArray(es), ArraySeq.unsafeWrapArray(ls))
   }
 
   /** Build from local arrays; labels default to 0 for unlisted nodes. */

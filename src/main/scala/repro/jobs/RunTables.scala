@@ -14,7 +14,7 @@ import repro.exp.{Datasets, Tables}
   */
 object RunTables {
 
-  private def session(): SparkSession = SparkSession.builder
+  private def session(): SparkSession = SparkSession.builder()
     .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
     .appName("repro-tables")
     .config("spark.sql.shuffle.partitions", "64")

@@ -38,7 +38,7 @@ class BoundsSpec extends SparkSpec {
       2.0 * nE * t * t / g.degree(u)
     }.sum
     val expected = (local - 4.0 * f * f) / (4.0 * 0.01 * f.toDouble * f * 0.1)
-    val got = Bounds.neHansenHurwitz(incidentDf, nE, f, 0.1, 0.1)
+    val got = Bounds.all(incidentDf, g.numNodes, nE, f, 0.1, 0.1).neHH
     assert(math.abs(got - expected) < math.abs(expected) * 1e-9 + 1e-9)
   }
 
@@ -49,7 +49,7 @@ class BoundsSpec extends SparkSpec {
       val t = g.targetEdgesAt(u, 1, 2).toDouble
       math.log((t * t + b) / b) / -math.log(1.0 - g.degree(u) / (2.0 * nE))
     }.max
-    val got = Bounds.neHorvitzThompson(incidentDf, g.numNodes, nE, f, 0.1, 0.1)
+    val got = Bounds.all(incidentDf, g.numNodes, nE, f, 0.1, 0.1).neHT
     assert(math.abs(got - expected) < math.abs(expected) * 1e-9 + 1e-9)
   }
 
@@ -62,7 +62,7 @@ class BoundsSpec extends SparkSpec {
     val sInv = (0 until nV).map(u => 2.0 * nE / g.degree(u)).sum
     val kT = 18.0 * (sT - 4.0 * f * f) / (4.0 * 0.01 * f.toDouble * f * 0.1)
     val kZ = 18.0 * (sInv - nV.toDouble * nV) / (0.01 * nV.toDouble * nV * 0.1)
-    val got = Bounds.neReweighted(incidentDf, nV, nE, f, 0.1, 0.1)
+    val got = Bounds.all(incidentDf, nV, nE, f, 0.1, 0.1).neRW
     assert(math.abs(got - math.max(kT, kZ)) < math.abs(got) * 1e-9 + 1e-9)
   }
 
@@ -109,7 +109,11 @@ class BoundsSpec extends SparkSpec {
       .toDF("node", "degree", "t")
     // Σ 2E·T²/d = center: 2·9·81/9=162, each leaf: 2·9·1/1=18 ⇒ 162+9·18=324
     val expected = (324.0 - 4.0 * fS * fS) / (4.0 * 0.01 * fS * fS * 0.1)
-    val got = Bounds.neHansenHurwitz(inc, e, fS, 0.1, 0.1)
+    val got = Bounds.all(inc, star.numNodes, e, fS, 0.1, 0.1).neHH
     assert(math.abs(got - expected) < 1e-9)
+  }
+
+  test("all rejects F = 0 (every bound divides by F²)") {
+    intercept[IllegalArgumentException](Bounds.all(incidentDf, g.numNodes, g.numEdges, 0L))
   }
 }

@@ -75,6 +75,33 @@ class NrmseSpec extends SparkSpec {
     assert(a == b)
   }
 
+  test("run equals a driver-side fold of simulate in simulation order, bit for bit") {
+    val (cps, sims, seedBase) = (Seq(10, 25), 13, 5L)
+    val sq = scala.collection.mutable.Map.empty[(String, Int), (Double, Int)]
+    (0 until sims).foreach { s =>
+      Nrmse.simulate(g, 1, 2, cps, 50, seedBase + s).foreach { case (alg, k, est) =>
+        val (sum, n) = sq.getOrElse((alg, k), (0.0, 0))
+        sq((alg, k)) = (sum + (est - f) * (est - f), n + 1)
+      }
+    }
+    val expected = sq.toSeq
+      .map { case ((alg, k), (sum, n)) => (alg, k, math.sqrt(sum / n) / f) }
+      .groupBy(_._1).map { case (alg, cells) => alg -> cells.map(c => c._2 -> c._3).toMap }
+    assert(Nrmse.run(spark, g, 1, 2, cps, 50, sims, f, seedBase) == expected)
+  }
+
+  test("run and estimates reject sims = 0") {
+    intercept[IllegalArgumentException](Nrmse.run(spark, g, 1, 2, Seq(10), 50, sims = 0, f = f))
+    intercept[IllegalArgumentException](Nrmse.estimates(spark, g, 1, 2, Seq(10), 50, sims = 0, seedBase = 1))
+  }
+
+  test("run and nrmse reject F = 0 (NRMSE divides by F)") {
+    import spark.implicits._
+    intercept[IllegalArgumentException](Nrmse.run(spark, g, 1, 2, Seq(10), 50, sims = 2, f = 0))
+    val df = Seq(("A", 10, 0, 1.0)).toDF("algorithm", "k", "sim", "estimate")
+    intercept[IllegalArgumentException](Nrmse.nrmse(df, 0))
+  }
+
   test("NS-HH NRMSE decreases substantially from tiny to large budgets") {
     val out = Nrmse.run(spark, g, 1, 2, Seq(5, 400), 100, sims = 60, f = f, seedBase = 31,
                         includeBaselines = false)

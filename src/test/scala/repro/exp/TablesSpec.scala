@@ -1,7 +1,10 @@
 package repro.exp
 
+import org.apache.spark.sql.functions.col
+
 import repro.SparkSpec
-import repro.core.Nrmse
+import repro.core.{Bounds, GroundTruth, Nrmse}
+import repro.graph.GraphOps
 
 class TablesSpec extends SparkSpec {
 
@@ -51,6 +54,19 @@ class TablesSpec extends SparkSpec {
     val b = Tables.boundsRow(spark, built, built.pairs.head)
     Seq(b.nsHH, b.nsHT, b.neHH, b.neHT, b.neRW).foreach { v =>
       assert(v > 0 && java.lang.Double.isFinite(v), s"$b")
+    }
+  }
+
+  test("boundsRow on the CSR graph equals Bounds.all over the DataFrame T(u) path") {
+    for (b <- Seq(built, Datasets.build(spark, TinySpecs.zipf)); p <- b.pairs) {
+      val incident = GroundTruth.incidentTargetCounts(b.edges, b.labels, p.t1, p.t2)
+        .join(GraphOps.degrees(b.edges), Seq("node"))
+        .select(col("node"), col("degree"), col("t"))
+      val expected = Bounds.all(incident, b.nV, b.nE, p.f)
+      val got = Tables.boundsRow(spark, b, p)
+      got.productIterator.zip(expected.productIterator).foreach { case (x: Double, y: Double) =>
+        assert(math.abs(x - y) <= 1e-9 * math.abs(y), s"${b.name} (${p.t1},${p.t2}): $got vs $expected")
+      }
     }
   }
 
