@@ -35,14 +35,14 @@ object NeighborSample {
 
     var u = Walks.burnIn(g, Walks.uniformStart(g, rng), burnInSteps, rng)
     var targetHits = 0L
-    val distinctTargets = mutable.HashSet.empty[Long]
+    val distinctTargets = new LongSet
     var next = 0 // index of next checkpoint to emit
     var i = 1
     while (i <= maxK) {
       val v = Walks.step(g, u, rng)
       if (g.isTargetEdge(u, v, t1, t2)) {
         targetHits += 1
-        distinctTargets += CsrGraph.edgeKey(u, v)
+        distinctTargets.add(CsrGraph.edgeKey(u, v))
       }
       u = v
       while (next < checkpoints.length && checkpoints(next) == i) {

@@ -33,6 +33,51 @@ class LineGraphWalksSpec extends SparkSpec {
       LineGraphWalks.run(g, ExRw, 1, 2, Seq(9, 3), 10, new SplittableRandom(1)))
   }
 
+  test("burn-in must be non-negative") {
+    intercept[IllegalArgumentException](
+      LineGraphWalks.run(g, ExRw, 1, 2, Seq(5), -1, new SplittableRandom(1)))
+  }
+
+  test("EX-RCMH requires a finite alpha in [0, 1]") {
+    Seq(Double.NaN, -0.1, 1.5, Double.PositiveInfinity).foreach { a =>
+      intercept[IllegalArgumentException](ExRcmh(a))
+    }
+  }
+
+  test("EX-GMD requires a finite delta > 0") {
+    Seq(Double.NaN, 0.0, -0.5, Double.PositiveInfinity).foreach { d =>
+      intercept[IllegalArgumentException](ExGmd(d))
+    }
+  }
+
+  test("kernel equals the tuple reference implementation bit for bit") {
+    // the single edge has d' = 0: the chain can only self-loop, and EX-RW /
+    // EX-RCMH(α < 1) weight it by 1/0 = ∞, so its target estimates are NaN
+    val graphs = Seq(
+      "random" -> g,
+      "single edge" -> CsrGraph.fromEdges(2, Seq((0, 1)), Seq(0 -> 1, 1 -> 2)),
+      "star" -> TestGraphs.star(7),
+      "path" -> TestGraphs.path(6),
+      "complete" -> TestGraphs.complete(6),
+      "rare labels" -> TestGraphs.rareLabelGraph(40, 4, seed = 83),
+    )
+    val variants = defaultVariants ++ Seq(ExRcmh(0.0), ExRcmh(1.0), ExGmd(1.0))
+    val checkpoints = Seq(1, 5, 5, 40) // includes a duplicate
+    def bits(rows: Seq[(String, Int, Double)]) =
+      rows.map { case (alg, k, est) => (alg, k, java.lang.Double.doubleToLongBits(est)) }
+    for {
+      (name, graph) <- graphs
+      v <- variants
+      (t1, t2) <- Seq((1, 2), (2, 3))
+      burnIn <- Seq(0, 7)
+      seed <- 1 to 50
+    } {
+      val got = LineGraphWalks.run(graph, v, t1, t2, checkpoints, burnIn, new SplittableRandom(seed))
+      val want = LineGraphWalksReference.run(graph, v, t1, t2, checkpoints, burnIn, new SplittableRandom(seed))
+      assert(bits(got) == bits(want), s"$name ${v.name} ($t1,$t2) burnIn=$burnIn seed=$seed")
+    }
+  }
+
   test("deterministic in the seed, sensitive to the seed") {
     for (v <- defaultVariants) {
       val a = LineGraphWalks.run(g, v, 1, 2, Seq(20), 50, new SplittableRandom(3))
@@ -59,7 +104,7 @@ class LineGraphWalksSpec extends SparkSpec {
     def mhStep(): Unit = {
       val (u, v) = state
       val dCur = repro.graph.LineGraph.lineDegree(small, u, v)
-      val (a, b) = repro.graph.LineGraph.uniformLineNeighbor(small, u, v, rng)
+      val (a, b) = LineGraphWalksReference.uniformLineNeighbor(small, u, v, rng)
       val dProp = repro.graph.LineGraph.lineDegree(small, a, b)
       if (rng.nextDouble() < dCur.toDouble / dProp) state = (a, b)
     }

@@ -76,13 +76,13 @@ class GroundTruthSpec extends SparkSpec {
   test("incidentTargetCounts sums to 2F (paper identity)") {
     for (t1 <- 1 to 3; t2 <- t1 to 3) {
       val sumT = GroundTruth.incidentTargetCounts(edges, labels, t1, t2)
-        .agg(sum("t")).head.getLong(0)
+        .agg(sum("t")).head().getLong(0)
       assert(sumT == 2 * TestGraphs.bruteForceF(g, t1, t2), s"($t1,$t2)")
     }
   }
 
   test("labelPairCounts covers all edges exactly once") {
-    val total = GroundTruth.labelPairCounts(edges, labels).agg(sum("cnt")).head.getLong(0)
+    val total = GroundTruth.labelPairCounts(edges, labels).agg(sum("cnt")).head().getLong(0)
     assert(total == g.numEdges)
   }
 

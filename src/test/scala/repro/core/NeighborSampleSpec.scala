@@ -2,7 +2,10 @@ package repro.core
 
 import java.util.SplittableRandom
 
+import scala.collection.mutable
+
 import repro.{SparkSpec, TestGraphs}
+import repro.graph.CsrGraph
 
 class NeighborSampleSpec extends SparkSpec {
 
@@ -84,5 +87,55 @@ class NeighborSampleSpec extends SparkSpec {
     val out = NeighborSample.run(star, 1, 2, Seq(25), 50, new SplittableRandom(9))
     val hh = out.find(_._1 == NeighborSample.HH).get._3
     assert(hh == star.numEdges.toDouble)
+  }
+
+  test("LongSet size equals a HashSet's size under random adds with duplicates") {
+    val rng = new SplittableRandom(11)
+    // small keys (with 0), edge keys with high bits set, and arbitrary longs
+    val pool = Array.tabulate(6000) { i =>
+      i % 3 match {
+        case 0 => (i / 3).toLong
+        case 1 => CsrGraph.edgeKey(Int.MaxValue - rng.nextInt(1000), rng.nextInt(Int.MaxValue))
+        case _ => rng.nextLong()
+      }
+    }
+    val set = new LongSet
+    val ref = mutable.HashSet.empty[Long]
+    (1 to 10000).foreach { _ =>
+      val key = pool(rng.nextInt(pool.length))
+      set.add(key); ref += key
+      assert(set.size == ref.size, s"after adding $key")
+    }
+    assert(ref.contains(0L) && ref.size > 2048, s"only ${ref.size} distinct keys") // crossed resizes
+  }
+
+  test("run equals a HashSet-based reference bit for bit") {
+    // thousands of distinct target edges, so the set resizes many times
+    val big = TestGraphs.connectedRandom(3000, 9000, seed = 72, nLabels = 2)
+    def reference(seed: Long, checkpoints: Seq[Int]): Seq[(String, Int, Double)] = {
+      val rng = new SplittableRandom(seed)
+      val out = mutable.ArrayBuffer.empty[(String, Int, Double)]
+      var u = Walks.burnIn(big, Walks.uniformStart(big, rng), 30, rng)
+      var hits = 0L
+      val distinct = mutable.HashSet.empty[Long]
+      (1 to checkpoints.last).foreach { i =>
+        val v = Walks.step(big, u, rng)
+        if (big.isTargetEdge(u, v, 1, 2)) { hits += 1; distinct += CsrGraph.edgeKey(u, v) }
+        u = v
+        checkpoints.filter(_ == i).foreach { k =>
+          out += ((NeighborSample.HH, k, Estimators.nsHansenHurwitz(big.numEdges, hits, k)))
+          out += ((NeighborSample.HT, k, Estimators.nsHorvitzThompson(big.numEdges, distinct.size, k)))
+        }
+      }
+      out.toSeq
+    }
+    val checkpoints = Seq(10, 500, 5000, 20000)
+    (1 to 5).foreach { seed =>
+      val got = NeighborSample.run(big, 1, 2, checkpoints, 30, new SplittableRandom(seed))
+      val want = reference(seed, checkpoints)
+      assert(got.map(r => (r._1, r._2, java.lang.Double.doubleToLongBits(r._3))) ==
+        want.map(r => (r._1, r._2, java.lang.Double.doubleToLongBits(r._3))), s"seed $seed")
+      assert(got.last._3 > 0.0)
+    }
   }
 }

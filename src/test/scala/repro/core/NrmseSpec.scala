@@ -56,7 +56,7 @@ class NrmseSpec extends SparkSpec {
       .toDF("algorithm", "k", "sim", "estimate")
     val fRef = 8L
     val expected = math.sqrt(ests.map(e => (e - fRef) * (e - fRef)).sum / ests.size) / fRef
-    val got = Nrmse.nrmse(df, fRef).head.getDouble(2)
+    val got = Nrmse.nrmse(df, fRef).head().getDouble(2)
     assert(math.abs(got - expected) < 1e-12)
   }
 

