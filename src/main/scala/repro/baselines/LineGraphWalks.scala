@@ -11,8 +11,8 @@ import repro.graph.CsrGraph
   * walks on the line graph G' of G, estimating the count of target *nodes*
   * of G' (= target edges of G).
   *
-  * G' is simulated directly on G ([[repro.graph.LineGraph]]); a walk state
-  * is a G-edge (u, v). Five chains/estimators:
+  * G' is simulated directly on G: a walk state is a G-edge (u, v), whose
+  * G'-degree is d'(u,v) = d(u)+d(v)-2. Five chains/estimators:
   *
   *  - EX-RW    simple walk on G'; re-weighted by 1/d'(e).
   *  - EX-MHRW  Metropolis-Hastings to a uniform stationary; plain average.

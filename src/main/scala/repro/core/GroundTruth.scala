@@ -16,27 +16,27 @@ import repro.graph.CsrGraph
 object GroundTruth {
 
   /** Edge list joined with both endpoint labels: (src, dst, lsrc, ldst). */
-  def labeledEdges(edges: DataFrame, labels: DataFrame): DataFrame = {
+  private def labeledEdges(edges: DataFrame, labels: DataFrame): DataFrame = {
     edges
       .join(labels.withColumnRenamed("node", "src").withColumnRenamed("label", "lsrc"), Seq("src"))
       .join(labels.withColumnRenamed("node", "dst").withColumnRenamed("label", "ldst"), Seq("dst"))
   }
 
-  /** F: the exact number of target edges for labels (t1, t2). */
-  def targetEdgeCount(edges: DataFrame, labels: DataFrame, t1: Int, t2: Int): Long = {
+  /** The target edges for labels (t1, t2), as labeled edges. */
+  private def targetEdges(edges: DataFrame, labels: DataFrame, t1: Int, t2: Int): DataFrame =
     labeledEdges(edges, labels)
       .where((col("lsrc") === t1 && col("ldst") === t2) ||
              (col("lsrc") === t2 && col("ldst") === t1))
-      .count()
-  }
+
+  /** F: the exact number of target edges for labels (t1, t2). */
+  def targetEdgeCount(edges: DataFrame, labels: DataFrame, t1: Int, t2: Int): Long =
+    targetEdges(edges, labels, t1, t2).count()
 
   /** T(u) for every node: the number of target edges incident to u.
     * Σ_u T(u) = 2F. Returns (node, t) including t = 0 rows.
     */
   def incidentTargetCounts(edges: DataFrame, labels: DataFrame, t1: Int, t2: Int): DataFrame = {
-    val le = labeledEdges(edges, labels)
-    val hits = le.where((col("lsrc") === t1 && col("ldst") === t2) ||
-                        (col("lsrc") === t2 && col("ldst") === t1))
+    val hits = targetEdges(edges, labels, t1, t2)
     val perEndpoint = hits.select(col("src") as "node")
       .union(hits.select(col("dst") as "node"))
       .groupBy("node").agg(count(lit(1)).cast(LongType) as "t")
@@ -46,7 +46,7 @@ object GroundTruth {
 
   /** Count of edges per unordered label pair: (l1, l2, cnt) with l1 <= l2.
     * This is the table the paper sorts ascending and quartile-splits to pick
-    * target labels for Pokec/Orkut/LiveJournal.
+    * target labels.
     */
   def labelPairCounts(edges: DataFrame, labels: DataFrame): DataFrame = {
     labeledEdges(edges, labels)
@@ -57,21 +57,13 @@ object GroundTruth {
       .groupBy("l1", "l2").agg(count(lit(1)).cast(LongType) as "cnt")
   }
 
-  /** Exact F computed locally from the CSR graph — the cross-check used by
-    * the walk-side code and tests (must equal [[targetEdgeCount]]).
+  /** Exact F = Σ_u T(u) / 2 computed locally from the CSR graph — the
+    * cross-check used by the walk-side code and tests (must equal [[targetEdgeCount]]).
     */
   def targetEdgeCountLocal(g: CsrGraph, t1: Int, t2: Int): Long = {
-    var f = 0L
+    var sum = 0L
     var u = 0
-    while (u < g.numNodes) {
-      var i = g.offsets(u)
-      while (i < g.offsets(u + 1)) {
-        val v = g.neighbors(i)
-        if (u < v && g.isTargetEdge(u, v, t1, t2)) f += 1
-        i += 1
-      }
-      u += 1
-    }
-    f
+    while (u < g.numNodes) { sum += g.targetEdgesAt(u, t1, t2); u += 1 }
+    sum / 2
   }
 }

@@ -68,7 +68,6 @@ object MixingTime {
   }
 
   /** T(ε) over the sampled starts (paper uses ε = 1e-3). */
-  def estimate(g: CsrGraph, eps: Double = 1e-3, extraStarts: Int = 2,
-               maxSteps: Int = 2000): Int =
+  def estimate(g: CsrGraph, eps: Double, extraStarts: Int, maxSteps: Int): Int =
     startSample(g, extraStarts).map(fromStart(g, _, eps, maxSteps)).max
 }

@@ -31,17 +31,13 @@ object Nrmse {
     * from `seed`, one estimate per (algorithm, checkpoint).
     */
   def simulate(g: CsrGraph, t1: Int, t2: Int, checkpoints: Seq[Int],
-               burnInSteps: Int, seed: Long,
-               variants: Seq[LineGraphWalks.Variant] = LineGraphWalks.defaultVariants,
-               includeBaselines: Boolean = true): Seq[(String, Int, Double)] = {
+               burnInSteps: Int, seed: Long): Seq[(String, Int, Double)] = {
     val root = new SplittableRandom(seed)
     // split() gives statistically independent streams per algorithm family
     val ns = NeighborSample.run(g, t1, t2, checkpoints, burnInSteps, root.split())
     val ne = NeighborExploration.run(g, t1, t2, checkpoints, burnInSteps, root.split())
-    val ex =
-      if (includeBaselines)
-        variants.flatMap(v => LineGraphWalks.run(g, v, t1, t2, checkpoints, burnInSteps, root.split()))
-      else Nil
+    val ex = LineGraphWalks.defaultVariants.flatMap(v =>
+      LineGraphWalks.run(g, v, t1, t2, checkpoints, burnInSteps, root.split()))
     ns ++ ne ++ ex
   }
 
@@ -50,14 +46,13 @@ object Nrmse {
     */
   private def fanOut(spark: SparkSession, g: CsrGraph, t1: Int, t2: Int,
                      checkpoints: Seq[Int], burnInSteps: Int, sims: Int,
-                     seedBase: Long, includeBaselines: Boolean): RDD[(Int, Seq[(String, Int, Double)])] = {
+                     seedBase: Long): RDD[(Int, Seq[(String, Int, Double)])] = {
     require(sims > 0, s"sims must be positive, got $sims")
     val bc = spark.sparkContext.broadcast(g)
     val slices = math.min(sims, spark.sparkContext.defaultParallelism * 2)
     spark.sparkContext
       .parallelize(0 until sims, slices)
-      .map(sim => sim -> simulate(bc.value, t1, t2, checkpoints, burnInSteps,
-                                  seedBase + sim, includeBaselines = includeBaselines))
+      .map(sim => sim -> simulate(bc.value, t1, t2, checkpoints, burnInSteps, seedBase + sim))
   }
 
   /** Raw estimates over `sims` independent simulations as a DataFrame
@@ -65,9 +60,9 @@ object Nrmse {
     */
   def estimates(spark: SparkSession, g: CsrGraph, t1: Int, t2: Int,
                 checkpoints: Seq[Int], burnInSteps: Int, sims: Int,
-                seedBase: Long, includeBaselines: Boolean = true): DataFrame = {
+                seedBase: Long): DataFrame = {
     import spark.implicits._
-    fanOut(spark, g, t1, t2, checkpoints, burnInSteps, sims, seedBase, includeBaselines)
+    fanOut(spark, g, t1, t2, checkpoints, burnInSteps, sims, seedBase)
       .flatMap { case (sim, rows) => rows.map { case (alg, k, est) => (alg, k, sim, est) } }
       .toDF("algorithm", "k", "sim", "estimate")
   }
@@ -101,10 +96,8 @@ object Nrmse {
     */
   def run(spark: SparkSession, g: CsrGraph, t1: Int, t2: Int,
           checkpoints: Seq[Int], burnInSteps: Int, sims: Int, f: Long,
-          seedBase: Long = 42L,
-          includeBaselines: Boolean = true): Map[String, Map[Int, Double]] = {
-    val perSim = fanOut(spark, g, t1, t2, checkpoints, burnInSteps, sims, seedBase, includeBaselines)
-      .collect()
+          seedBase: Long = 42L): Map[String, Map[Int, Double]] = {
+    val perSim = fanOut(spark, g, t1, t2, checkpoints, burnInSteps, sims, seedBase).collect()
     aggregate(perSim.toSeq.flatMap(_._2), f)
   }
 

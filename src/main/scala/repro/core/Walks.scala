@@ -30,17 +30,4 @@ object Walks {
     while (i < steps) { u = step(g, u, rng); i += 1 }
     u
   }
-
-  /** The post-burn-in node trace u_0 .. u_k (u_0 is the burned-in start;
-    * the k sampled positions are u_1..u_k). Mostly for tests — the
-    * estimators stream over steps without materializing traces.
-    */
-  def trace(g: CsrGraph, start: Int, burnInSteps: Int, k: Int,
-            rng: SplittableRandom): Array[Int] = {
-    val out = new Array[Int](k + 1)
-    out(0) = burnIn(g, start, burnInSteps, rng)
-    var i = 1
-    while (i <= k) { out(i) = step(g, out(i - 1), rng); i += 1 }
-    out
-  }
 }

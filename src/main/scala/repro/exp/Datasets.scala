@@ -14,8 +14,8 @@ import repro.graph.{CsrGraph, GraphOps, SocialGraphGen}
   * Each build follows the paper's §5.1 pipeline exactly: generate, drop
   * directions/self-loops/multi-edges, take the largest connected component,
   * assign labels, measure the mixing time T(1e-3) to be used as walk
-  * burn-in, and select target label pairs — (1,2) for the gender datasets,
-  * the ascending-quartile procedure of §5.2 for the rest.
+  * burn-in, and select target label pairs by the quartile procedure of
+  * §5.2, which on a gender graph picks (1,2), its one pair of distinct labels.
   */
 object Datasets {
 
@@ -30,7 +30,7 @@ object Datasets {
       g: CsrGraph,
       edges: DataFrame,   // canonical remapped edge list, cached
       labels: DataFrame,  // (node, label), cached
-      degrees: DataFrame, // (node, degree), cached
+      degrees: DataFrame, // (node, degree)
       burnIn: Int,        // measured mixing time T(1e-3)
       pairs: Seq[LabelPair],
   ) {
@@ -40,7 +40,9 @@ object Datasets {
 
   /** How a dataset's node labels are produced. */
   sealed trait LabelScheme
-  final case class Gender(frac1: Double) extends LabelScheme
+  final case class Gender(frac1: Double) extends LabelScheme {
+    require(frac1 > 0.0 && frac1 < 1.0, s"Gender needs 0 < frac1 < 1, got $frac1")
+  }
   final case class ZipfLocations(nLabels: Int, s: Double) extends LabelScheme
   case object DegreeBuckets extends LabelScheme
 
@@ -77,18 +79,19 @@ object Datasets {
 
   val all: Seq[Spec] = Seq(facebook, gplus, pokec, orkut, livejournal)
 
-  private val cache = mutable.Map.empty[String, Built]
+  private val cache = mutable.Map.empty[Spec, Built]
 
   /** Build (or fetch the session-cached) dataset for `spec`. */
   def build(spark: SparkSession, spec: Spec): Built = synchronized {
-    cache.getOrElseUpdate(spec.name, buildUncached(spark, spec))
+    cache.getOrElseUpdate(spec, buildUncached(spark, spec))
   }
 
   /** §5.2 quartile selection: among pairs with distinct labels and count ≥
     * `minCount`, order ascending by count, split into `nPairs` equal parts,
     * take each part's median pair. Deterministic (median, not random draw).
     */
-  def quartilePairs(pairCounts: DataFrame, nPairs: Int, minCount: Long = 20): Seq[LabelPair] = {
+  def quartilePairs(pairCounts: DataFrame, nPairs: Int, minCount: Long): Seq[LabelPair] = {
+    require(nPairs >= 1, s"nPairs must be at least 1, got $nPairs")
     val sorted = pairCounts
       .where(col("l1") =!= col("l2") && col("cnt") >= minCount)
       .orderBy(asc("cnt"), asc("l1"), asc("l2"))
@@ -108,7 +111,7 @@ object Datasets {
     val raw = SocialGraphGen.edges(spark, spec.n, spec.candidateEdges, seed = spec.seed)
     val (edges0, nodeMap) = GraphOps.largestComponent(spark, raw)
     val edges = edges0.cache()
-    val degrees = GraphOps.degrees(edges).cache()
+    val degrees = GraphOps.degrees(edges)
     val labels = (spec.scheme match {
       case Gender(frac1) =>
         GraphOps.remapLabels(
@@ -122,13 +125,8 @@ object Datasets {
 
     val g = CsrGraph.fromDataFrames(edges, labels)
     val burnIn = MixingTime.estimate(g, eps = 1e-3, extraStarts = 2, maxSteps = 1000)
-    val pairs = spec.scheme match {
-      case Gender(_) =>
-        Seq(LabelPair(1, 2, GroundTruth.targetEdgeCount(edges, labels, 1, 2)))
-      case _ =>
-        quartilePairs(GroundTruth.labelPairCounts(edges, labels), spec.nPairs,
-                      spec.minPairCount)
-    }
+    val pairs = quartilePairs(GroundTruth.labelPairCounts(edges, labels), spec.nPairs,
+                              spec.minPairCount)
     Built(spec.name, g, edges, labels, degrees, burnIn, pairs)
   }
 }

@@ -12,7 +12,7 @@ object Tables {
   /** One rendered NRMSE grid (one of Tables 4–17). */
   final case class NrmseTable(
       dataset: String, pair: Datasets.LabelPair, nE: Long,
-      checkpoints: Seq[Int], nV: Long,
+      checkpoints: Seq[Int],
       results: Map[String, Map[Int, Double]],
   ) {
     def caption: String =
@@ -31,7 +31,7 @@ object Tables {
     def render: String = {
       val header = ("%-26s" format "algorithm") +
         checkpoints.indices.map(j => f"${0.5 * (j + 1)}%5.1f%%|V|").mkString(" ")
-      val rows = Nrmse.AllAlgorithms.filter(results.contains).map { alg =>
+      val rows = Nrmse.AllAlgorithms.map { alg =>
         ("%-26s" format alg) +
           checkpoints.map(k => f"${results(alg)(k)}%9.3f").mkString(" ")
       }
@@ -46,7 +46,7 @@ object Tables {
     val cps = Nrmse.paperCheckpoints(built.nV)
     val results = Nrmse.run(spark, built.g, pair.t1, pair.t2, cps,
                             built.burnIn, sims, pair.f, seedBase)
-    NrmseTable(built.name, pair, built.nE, cps, built.nV, results)
+    NrmseTable(built.name, pair, built.nE, cps, results)
   }
 
   /** One row of Tables 18–22: the five Theorem 4.1–4.5 bounds for a pair,

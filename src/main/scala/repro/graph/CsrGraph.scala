@@ -103,11 +103,7 @@ object CsrGraph {
     val es = edges.select("src", "dst").collect()
       .map(r => (r.getLong(0).toInt, r.getLong(1).toInt))
     val ls = labelDf.select("node", "label").collect()
-      .map(r => (r.getLong(0).toInt, r.get(1) match {
-        case i: Int  => i
-        case l: Long => l.toInt
-        case x       => x.toString.toInt
-      }))
+      .map(r => (r.getLong(0).toInt, r.getInt(1)))
     val n = ls.map(_._1).max + 1
     fromEdges(n, ArraySeq.unsafeWrapArray(es), ArraySeq.unsafeWrapArray(ls))
   }

@@ -74,13 +74,11 @@ object GraphOps {
     val nodeAt = udf((i: Long) => keep(i.toInt))
     val nodeMap = spark.range(keep.length)
       .select(nodeAt(col("id")) as "node", col("id") as "newId")
+    // keep is ascending, so the remap preserves src < dst
     val remapped = edges
       .join(nodeMap.withColumnRenamed("node", "src").withColumnRenamed("newId", "s2"), Seq("src"))
       .join(nodeMap.withColumnRenamed("node", "dst").withColumnRenamed("newId", "d2"), Seq("dst"))
-      .select(
-        least(col("s2"), col("d2"))    as "src",
-        greatest(col("s2"), col("d2")) as "dst",
-      )
+      .select(col("s2") as "src", col("d2") as "dst")
     (remapped, nodeMap)
   }
 

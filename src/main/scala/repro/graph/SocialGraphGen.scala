@@ -1,6 +1,6 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
@@ -19,6 +19,13 @@ import org.apache.spark.sql.types._
   */
 object SocialGraphGen {
 
+  /** A draw on [x0, x1] with density ∝ x^(-a): the inverse CDF of `rand(seed)`. */
+  private def inverseCdf(x0: Double, x1: Double, a: Double, seed: Long): Column = {
+    val lo = math.pow(x0, 1.0 - a)
+    val hi = math.pow(x1, 1.0 - a)
+    pow(rand(seed) * (hi - lo) + lo, 1.0 / (1.0 - a))
+  }
+
   /** Power-law endpoint draw: node rank r in [0, n) with P(r) ∝ (r+i0)^(-a).
     *
     * Uses the continuous inverse CDF of the density (x+i0)^(-a) on [0,n];
@@ -27,10 +34,7 @@ object SocialGraphGen {
     */
   private def powerLawRank(n: Long, a: Double, i0: Double, seed: Long) = {
     require(a != 1.0, "alpha = 1 is singular: every endpoint would map to node 0")
-    val hi   = math.pow(n + i0, 1.0 - a)
-    val lo   = math.pow(i0, 1.0 - a)
-    val u    = rand(seed)
-    val cont = pow(u * (hi - lo) + lo, 1.0 / (1.0 - a)) - i0
+    val cont = inverseCdf(i0, n + i0, a, seed) - i0
     least(lit(n - 1), greatest(lit(0L), cont.cast(LongType)))
   }
 
@@ -53,8 +57,7 @@ object SocialGraphGen {
     GraphOps.canonicalize(candidateEdges(spark, n, m, alpha, i0, seed))
 
   /** Two-valued "gender" labels, `frac1` of nodes labeled 1, rest 2. */
-  def genderLabels(spark: SparkSession, n: Long, frac1: Double = 0.55,
-                   seed: Long = 11): DataFrame = {
+  def genderLabels(spark: SparkSession, n: Long, frac1: Double, seed: Long): DataFrame = {
     spark.range(n).select(
       col("id") as "node",
       when(rand(seed) < frac1, lit(1)).otherwise(lit(2)) as "label",
@@ -64,19 +67,12 @@ object SocialGraphGen {
   /** Zipf "location" labels over `nLabels` values: P(label=l) ∝ l^(-s).
     *
     * Mirrors Pokec's highly skewed location frequencies; labels are
-    * 1-based integers as in the paper's Table 3.
+    * 1-based integers as in the paper's Table 3. The draw is the endpoint
+    * draw's continuous inverse CDF, floored, which keeps the skew shape.
     */
-  def zipfLabels(spark: SparkSession, n: Long, nLabels: Int, s: Double = 1.5,
-                 seed: Long = 13): DataFrame = {
-    // Discrete inverse CDF over nLabels ranks, precomputed on the driver and
-    // applied as a chained expression via a little binary search in SQL:
-    // for tractability we use the continuous approximation (same as the
-    // endpoint draw) which preserves the skew shape.
+  def zipfLabels(spark: SparkSession, n: Long, nLabels: Int, s: Double, seed: Long): DataFrame = {
     require(s != 1.0, "s = 1 is singular: every node would get label 1")
-    val a    = s
-    val hi   = math.pow(nLabels + 1.0, 1.0 - a)
-    val lo   = 1.0
-    val cont = pow(rand(seed) * (hi - lo) + lo, 1.0 / (1.0 - a))
+    val cont = inverseCdf(1.0, nLabels + 1.0, s, seed)
     spark.range(n).select(
       col("id") as "node",
       least(lit(nLabels), greatest(lit(1), cont.cast(IntegerType))) as "label",

@@ -4,7 +4,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 import repro.{SparkSpec, TestGraphs}
-import repro.graph.{CsrGraph, GraphOps}
+import repro.graph.GraphOps
 
 class BoundsSpec extends SparkSpec {
 

@@ -1,7 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.functions._
-
 import repro.{SparkSpec, TestGraphs}
 
 class NrmseSpec extends SparkSpec {
@@ -20,13 +18,6 @@ class NrmseSpec extends SparkSpec {
     val rows = Nrmse.simulate(g, 1, 2, Seq(10, 20), 50, seed = 1)
     assert(rows.size == 10 * 2)
     assert(rows.map(_._1).toSet == Nrmse.AllAlgorithms.toSet)
-  }
-
-  test("simulate without baselines only runs the paper's algorithms") {
-    val rows = Nrmse.simulate(g, 1, 2, Seq(10), 50, seed = 1, includeBaselines = false)
-    assert(rows.map(_._1).toSet ==
-      Set(NeighborSample.HH, NeighborSample.HT,
-          NeighborExploration.HH, NeighborExploration.HT, NeighborExploration.RW))
   }
 
   test("simulate is deterministic in the seed") {
@@ -103,8 +94,7 @@ class NrmseSpec extends SparkSpec {
   }
 
   test("NS-HH NRMSE decreases substantially from tiny to large budgets") {
-    val out = Nrmse.run(spark, g, 1, 2, Seq(5, 400), 100, sims = 60, f = f, seedBase = 31,
-                        includeBaselines = false)
+    val out = Nrmse.run(spark, g, 1, 2, Seq(5, 400), 100, sims = 60, f = f, seedBase = 31)
     val m = out(NeighborSample.HH)
     assert(m(400) < m(5), s"expected improvement with budget: $m")
   }

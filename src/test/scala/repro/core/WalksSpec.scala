@@ -7,6 +7,19 @@ import repro.graph.CsrGraph
 
 class WalksSpec extends SparkSpec {
 
+  /** The post-burn-in node trace u_0 .. u_k (u_0 is the burned-in start;
+    * the k sampled positions are u_1..u_k). The estimators stream over
+    * steps without materializing traces.
+    */
+  private def trace(g: CsrGraph, start: Int, burnInSteps: Int, k: Int,
+                    rng: SplittableRandom): Array[Int] = {
+    val out = new Array[Int](k + 1)
+    out(0) = Walks.burnIn(g, start, burnInSteps, rng)
+    var i = 1
+    while (i <= k) { out(i) = Walks.step(g, out(i - 1), rng); i += 1 }
+    out
+  }
+
   test("step always moves to an adjacent node") {
     val g = TestGraphs.connectedRandom(30, 45, seed = 31)
     val rng = new SplittableRandom(1)
@@ -54,7 +67,7 @@ class WalksSpec extends SparkSpec {
 
   test("trace has the requested length and consecutive nodes are adjacent") {
     val g = TestGraphs.connectedRandom(20, 30, seed = 34)
-    val tr = Walks.trace(g, 0, burnInSteps = 100, k = 50, new SplittableRandom(4))
+    val tr = trace(g, 0, burnInSteps = 100, k = 50, new SplittableRandom(4))
     assert(tr.length == 51)
     tr.sliding(2).foreach { case Array(a, b) =>
       assert((0 until g.degree(a)).exists(g.neighbor(a, _) == b))
@@ -63,9 +76,9 @@ class WalksSpec extends SparkSpec {
 
   test("walks are deterministic in the seed") {
     val g = TestGraphs.connectedRandom(20, 30, seed = 35)
-    val a = Walks.trace(g, 0, 10, 40, new SplittableRandom(5)).toSeq
-    val b = Walks.trace(g, 0, 10, 40, new SplittableRandom(5)).toSeq
-    val c = Walks.trace(g, 0, 10, 40, new SplittableRandom(6)).toSeq
+    val a = trace(g, 0, 10, 40, new SplittableRandom(5)).toSeq
+    val b = trace(g, 0, 10, 40, new SplittableRandom(5)).toSeq
+    val c = trace(g, 0, 10, 40, new SplittableRandom(6)).toSeq
     assert(a == b)
     assert(a != c)
   }

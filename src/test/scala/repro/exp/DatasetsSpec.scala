@@ -1,7 +1,5 @@
 package repro.exp
 
-import org.apache.spark.sql.functions._
-
 import repro.{SparkSpec, TestGraphs}
 import repro.core.GroundTruth
 
@@ -39,10 +37,23 @@ class DatasetsSpec extends SparkSpec {
     assert(b.burnIn > 0 && b.burnIn <= 1000)
   }
 
-  test("build is cached by name") {
+  test("build is cached by spec") {
     val a = Datasets.build(spark, TinySpecs.gender)
     val b = Datasets.build(spark, TinySpecs.gender)
     assert(a eq b)
+  }
+
+  test("specs with the same name and different seeds build different datasets") {
+    val a = Datasets.build(spark, TinySpecs.gender)
+    val b = Datasets.build(spark, TinySpecs.gender.copy(seed = TinySpecs.gender.seed + 1))
+    assert(a.name == b.name)
+    assert(TestGraphs.edgeList(a.g) != TestGraphs.edgeList(b.g))
+  }
+
+  test("Gender rejects a label-1 share outside (0, 1)") {
+    Seq(0.0, 1.0, -0.2, 1.5, Double.NaN).foreach { frac1 =>
+      intercept[IllegalArgumentException](Datasets.Gender(frac1))
+    }
   }
 
   test("zipf dataset: pairs are ascending in F with distinct labels") {
@@ -94,6 +105,13 @@ class DatasetsSpec extends SparkSpec {
     val pairCounts = Seq((1, 2, 30L)).toDF("l1", "l2", "cnt")
     intercept[IllegalArgumentException](
       Datasets.quartilePairs(pairCounts, nPairs = 4, minCount = 20))
+  }
+
+  test("quartilePairs rejects nPairs < 1") {
+    val pairCounts = Seq((1, 2, 30L)).toDF("l1", "l2", "cnt")
+    Seq(0, -1).foreach { nPairs =>
+      intercept[IllegalArgumentException](Datasets.quartilePairs(pairCounts, nPairs, minCount = 20))
+    }
   }
 
   test("the five experiment specs are wired to the expected schemes") {

@@ -1,7 +1,7 @@
 package repro.exp
 
 /** Small dataset specs shared by exp-layer suites (cached across suites by
-  * name in [[Datasets]], so each is built once per test JVM).
+  * spec in [[Datasets]], so each is built once per test JVM).
   */
 object TinySpecs {
   val gender = Datasets.Spec("tiny-gender", 400, 2400, Datasets.Gender(0.6), seed = 1, nPairs = 1)

@@ -82,6 +82,18 @@ class GraphOpsSpec extends SparkSpec {
     assert(edges.count() == 3)
   }
 
+  test("largestComponent keeps src < dst and remaps in node-id order across id gaps") {
+    // component A: {3, 40, 700, 9000} (path plus a chord); B: {5, 6}; C: {1000, 2000}
+    val df = rawDf((3L, 9000L), (40L, 700L), (3L, 40L), (700L, 9000L), (5L, 6L), (1000L, 2000L))
+    val (edges, nodeMap) = GraphOps.largestComponent(spark, df)
+    val rows = edges.collect().map(r => (r.getLong(0), r.getLong(1)))
+    assert(rows.length == 4)
+    rows.foreach { case (s, d) => assert(s < d, s"edge ($s,$d)") }
+    val map = nodeMap.collect().map(r => (r.getLong(0), r.getLong(1))).sortBy(_._1)
+    assert(map.map(_._1).toSeq == Seq(3L, 40L, 700L, 9000L))
+    assert(map.map(_._2).toSeq == Seq(0L, 1L, 2L, 3L), "newId must rise with the node id")
+  }
+
   test("largestComponent keeps the bigger side and remaps to [0, n)") {
     // component A: triangle {0,1,2}; component B: edge {10,11}
     val df = rawDf((0L, 1L), (1L, 2L), (0L, 2L), (10L, 11L))

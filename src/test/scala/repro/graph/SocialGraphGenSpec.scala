@@ -83,7 +83,7 @@ class SocialGraphGenSpec extends SparkSpec {
   }
 
   test("zipfLabels rejects the singular exponent s = 1") {
-    intercept[IllegalArgumentException](SocialGraphGen.zipfLabels(spark, 100, nLabels = 10, s = 1.0))
+    intercept[IllegalArgumentException](SocialGraphGen.zipfLabels(spark, 100, nLabels = 10, s = 1.0, seed = 1))
   }
 
   test("candidateEdges emits exactly m rows") {
