@@ -8,9 +8,9 @@ import repro.exp.{Datasets, Tables}
 /** Shared machinery for the table benches.
   *
   * All suites run in one forked JVM (`Test / parallelExecution := false`), so
-  * datasets (cached in [[Datasets]]) and NRMSE grids (cached here) are each
-  * computed once even though several suites consume them — the summary bench
-  * reuses the grids produced by the per-dataset benches.
+  * datasets and NRMSE grids, both held here, are each computed once even
+  * though several suites consume them — the summary bench reuses the grids
+  * produced by the per-dataset benches.
   *
   * `BENCH_SIMS` overrides the paper's 200 simulations per cell (useful for a
   * quick smoke run).
@@ -20,7 +20,11 @@ trait BenchSupport extends SparkSpec {
   /** Simulations per table cell; the paper uses 200. */
   lazy val sims: Int = sys.env.getOrElse("BENCH_SIMS", "200").toInt
 
-  def dataset(spec: Datasets.Spec): Datasets.Built = Datasets.build(spark, spec)
+  /** The dataset of `spec`, built once per JVM. */
+  def dataset(spec: Datasets.Spec): Datasets.Built =
+    BenchSupport.datasets.synchronized {
+      BenchSupport.datasets.getOrElseUpdate(spec, Datasets.build(spark, spec))
+    }
 
   /** NRMSE grid for (dataset, pair), computed once per JVM. */
   def grid(spec: Datasets.Spec, pair: Datasets.LabelPair): Tables.NrmseTable =
@@ -47,5 +51,6 @@ trait BenchSupport extends SparkSpec {
 }
 
 object BenchSupport {
+  private val datasets = mutable.Map.empty[Datasets.Spec, Datasets.Built]
   private val gridCache = mutable.Map.empty[(String, Int, Int), Tables.NrmseTable]
 }

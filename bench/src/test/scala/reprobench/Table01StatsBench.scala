@@ -2,20 +2,18 @@ package reprobench
 
 import repro.TestGraphs
 import repro.core.Nrmse
-import repro.exp.Datasets
+import repro.exp.{Datasets, Tables}
 
 /** Paper Tables 1–3: dataset statistics, algorithm roster, label frequencies.
   *
-  * Also warms the dataset cache for the NRMSE benches that follow.
+  * Also builds the datasets for the NRMSE benches that follow.
   */
 class Table01StatsBench extends BenchSupport {
 
   test("Table 1: statistics of the (stand-in) datasets") {
-    show("Table 1: Statistics of Datasets (synthetic stand-ins, largest connected components)")
-    Datasets.all.foreach { spec =>
-      val b = dataset(spec)
-      show(f"${b.name}%-18s |V|=${b.nV}%8d  |E|=${b.nE}%10d  mixingTime T(1e-3)=${b.burnIn}%5d  " +
-           f"pairs=${b.pairs.map(p => s"(${p.t1},${p.t2})").mkString(",")}")
+    val built = Datasets.all.map(dataset)
+    show(Tables.renderStats(built))
+    built.foreach { b =>
       assert(b.nV > 1000, "stand-in must be non-trivial")
       assert(b.nE > b.nV, "social graphs are denser than trees")
     }

@@ -12,7 +12,7 @@ class Table23to26SummaryBench extends BenchSupport {
     val tabs = Seq(
       grid(Datasets.facebook, dataset(Datasets.facebook).pairs.head),
       grid(Datasets.gplus, dataset(Datasets.gplus).pairs.head))
-    show(Tables.renderSummary("Best algorithm (5%|V| API calls): gender datasets", tabs))
+    show(Tables.renderSummary(tabs))
     tabs.foreach(t => assert(ours.contains(t.bestAtMax._1),
       s"${t.dataset}: best=${t.bestAtMax}"))
   }
@@ -20,21 +20,21 @@ class Table23to26SummaryBench extends BenchSupport {
   test("Table 24: best algorithms for pokec-lite") {
     val b = dataset(Datasets.pokec)
     val tabs = b.pairs.map(grid(Datasets.pokec, _))
-    show(Tables.renderSummary("Best algorithm (5%|V| API calls): pokec-lite", tabs))
+    show(Tables.renderSummary(tabs))
     tabs.foreach(t => assert(ours.contains(t.bestAtMax._1), s"best=${t.bestAtMax}"))
   }
 
   test("Table 25: best algorithms for orkut-lite") {
     val b = dataset(Datasets.orkut)
     val tabs = b.pairs.map(grid(Datasets.orkut, _))
-    show(Tables.renderSummary("Best algorithm (5%|V| API calls): orkut-lite", tabs))
+    show(Tables.renderSummary(tabs))
     tabs.foreach(t => assert(ours.contains(t.bestAtMax._1), s"best=${t.bestAtMax}"))
   }
 
   test("Table 26: best algorithms for livejournal-lite") {
     val b = dataset(Datasets.livejournal)
     val tabs = b.pairs.map(grid(Datasets.livejournal, _))
-    show(Tables.renderSummary("Best algorithm (5%|V| API calls): livejournal-lite", tabs))
+    show(Tables.renderSummary(tabs))
     tabs.foreach(t => assert(ours.contains(t.bestAtMax._1), s"best=${t.bestAtMax}"))
   }
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# spark-submit wrapper for the table jobs. Examples:
+# spark-submit wrapper for the table jobs: jobs/run_table.sh <group> [sims]
 #   jobs/run_table.sh stats          # Table 1 (+ mixing times)
 #   jobs/run_table.sh facebook       # Table 4
 #   jobs/run_table.sh gplus          # Table 5
@@ -8,7 +8,7 @@
 #   jobs/run_table.sh livejournal    # Tables 14-17
 #   jobs/run_table.sh bounds         # Tables 18-22
 #   jobs/run_table.sh summary        # Tables 23-26
-#   jobs/run_table.sh all 200        # everything, 200 sims per cell
+#   jobs/run_table.sh all 200        # Tables 1 and 4-26, 200 sims per cell
 set -euo pipefail
 cd "$(dirname "$0")/.."
 sbt -batch package

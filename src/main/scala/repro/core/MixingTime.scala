@@ -67,7 +67,13 @@ object MixingTime {
     (maxDegNode +: spread).distinct
   }
 
-  /** T(ε) over the sampled starts (paper uses ε = 1e-3). */
-  def estimate(g: CsrGraph, eps: Double, extraStarts: Int, maxSteps: Int): Int =
-    startSample(g, extraStarts).map(fromStart(g, _, eps, maxSteps)).max
+  /** T(ε) over the sampled starts (paper uses ε = 1e-3). Fails if a start
+    * does not reach ε within `maxSteps`: the cap would silently truncate
+    * the burn-in.
+    */
+  def estimate(g: CsrGraph, eps: Double, extraStarts: Int, maxSteps: Int): Int = {
+    val t = startSample(g, extraStarts).map(fromStart(g, _, eps, maxSteps)).max
+    require(t < maxSteps, s"a start did not reach TV < $eps within the cap of $maxSteps steps")
+    t
+  }
 }

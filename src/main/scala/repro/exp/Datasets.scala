@@ -1,7 +1,5 @@
 package repro.exp
 
-import scala.collection.mutable
-
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
@@ -24,12 +22,14 @@ object Datasets {
     def pct(nE: Long): Double = 100.0 * f / nE
   }
 
-  /** A fully prepared dataset: CSR graph + bulk DataFrames + metadata. */
+  /** A fully prepared dataset: CSR graph + metadata, with the lazy
+    * DataFrame plans it was built from (recomputed if read).
+    */
   final case class Built(
       name: String,
       g: CsrGraph,
-      edges: DataFrame,   // canonical remapped edge list, cached
-      labels: DataFrame,  // (node, label), cached
+      edges: DataFrame,   // canonical remapped edge list
+      labels: DataFrame,  // (node, label)
       degrees: DataFrame, // (node, degree)
       burnIn: Int,        // measured mixing time T(1e-3)
       pairs: Seq[LabelPair],
@@ -79,13 +79,6 @@ object Datasets {
 
   val all: Seq[Spec] = Seq(facebook, gplus, pokec, orkut, livejournal)
 
-  private val cache = mutable.Map.empty[Spec, Built]
-
-  /** Build (or fetch the session-cached) dataset for `spec`. */
-  def build(spark: SparkSession, spec: Spec): Built = synchronized {
-    cache.getOrElseUpdate(spec, buildUncached(spark, spec))
-  }
-
   /** §5.2 quartile selection: among pairs with distinct labels and count ≥
     * `minCount`, order ascending by count, split into `nPairs` equal parts,
     * take each part's median pair. Deterministic (median, not random draw).
@@ -107,8 +100,12 @@ object Datasets {
     }
   }
 
-  private def buildUncached(spark: SparkSession, spec: Spec): Built = {
-    val raw = SocialGraphGen.edges(spark, spec.n, spec.candidateEdges, seed = spec.seed)
+  /** Build the dataset for `spec`. A pure function of `spec`: nothing stays
+    * cached once the CSR graph and the label pairs are computed, so callers
+    * hold the `Built`s they reuse.
+    */
+  def build(spark: SparkSession, spec: Spec): Built = {
+    val raw = SocialGraphGen.edges(spark, spec.n, spec.candidateEdges, spec.seed)
     val (edges0, nodeMap) = GraphOps.largestComponent(spark, raw)
     val edges = edges0.cache()
     val degrees = GraphOps.degrees(edges)
@@ -127,6 +124,7 @@ object Datasets {
     val burnIn = MixingTime.estimate(g, eps = 1e-3, extraStarts = 2, maxSteps = 1000)
     val pairs = quartilePairs(GroundTruth.labelPairCounts(edges, labels), spec.nPairs,
                               spec.minPairCount)
+    edges.unpersist(); labels.unpersist()
     Built(spec.name, g, edges, labels, degrees, burnIn, pairs)
   }
 }

@@ -47,14 +47,14 @@ object SocialGraphGen {
     )
   }
 
-  /** A canonical undirected edge list (`src < dst`, distinct, no loops).
+  /** A canonical undirected edge list (`src < dst`, distinct, no loops),
+    * with endpoint exponent a = 0.67 (γ ≈ 2.5) and rank offset i0 = 10.
     *
     * `m` candidate draws yield somewhat fewer final edges (loops and
     * duplicates are dropped); callers read the achieved `|E|` off the result.
     */
-  def edges(spark: SparkSession, n: Long, m: Long, alpha: Double = 0.67,
-            i0: Double = 10.0, seed: Long = 7): DataFrame =
-    GraphOps.canonicalize(candidateEdges(spark, n, m, alpha, i0, seed))
+  def edges(spark: SparkSession, n: Long, m: Long, seed: Long): DataFrame =
+    GraphOps.canonicalize(candidateEdges(spark, n, m, 0.67, 10.0, seed))
 
   /** Two-valued "gender" labels, `frac1` of nodes labeled 1, rest 2. */
   def genderLabels(spark: SparkSession, n: Long, frac1: Double, seed: Long): DataFrame = {

@@ -4,13 +4,13 @@ import org.apache.spark.sql.SparkSession
 
 import repro.exp.{Datasets, Tables}
 
-/** spark-submit entrypoints, one per paper table group (see the shell
-  * wrappers under jobs/).
+/** spark-submit entrypoint for the paper tables (`jobs/run_table.sh`).
   *
   * Usage: `RunTables [stats|bounds|summary|<dataset>|all] [sims]` where
   * `<dataset>` ∈ {facebook, gplus, pokec, orkut, livejournal} prints that
   * dataset's NRMSE grids (Tables 4, 5, 6–9, 10–13, 14–17 respectively),
-  * `stats` prints Table 1, `bounds` Tables 18–22 and `summary` Tables 23–26.
+  * `stats` prints Table 1, `bounds` Tables 18–22, `summary` Tables 23–26
+  * and `all` every one of them.
   */
 object RunTables {
 
@@ -21,58 +21,36 @@ object RunTables {
     .config("spark.sql.autoBroadcastJoinThreshold", -1)
     .getOrCreate()
 
-  private val byName = Map(
-    "facebook" -> Datasets.facebook, "gplus" -> Datasets.gplus,
-    "pokec" -> Datasets.pokec, "orkut" -> Datasets.orkut,
-    "livejournal" -> Datasets.livejournal)
-
   def main(args: Array[String]): Unit = {
-    val what = args.headOption.getOrElse("all")
+    val group = args.headOption.getOrElse("all")
     val sims = args.lift(1).map(_.toInt).getOrElse(200)
     val spark = session()
-    try {
-      what match {
-        case "stats"   => stats(spark)
-        case "bounds"  => bounds(spark)
-        case "summary" => summary(spark, sims)
-        case "all"     =>
-          stats(spark); byName.keys.toSeq.sorted.foreach(nrmse(spark, _, sims)); bounds(spark)
-        case ds        => nrmse(spark, ds, sims)
-      }
-    } finally spark.stop()
+    try print(render(spark, group, Datasets.all, sims))
+    finally spark.stop()
   }
 
-  private def stats(spark: SparkSession): Unit = {
-    println("Table 1: Statistics of Datasets (largest connected components)")
-    Datasets.all.foreach { spec =>
-      val b = Datasets.build(spark, spec)
-      println(f"${b.name}%-18s |V|=${b.nV}%8d |E|=${b.nE}%10d mixingTime(T(1e-3))=${b.burnIn}")
+  /** The tables of `group` over `specs`, a dataset group being a spec's
+    * name without its `-lite` suffix. Each selected spec is built once and
+    * each of its (spec, pair) grids is run once.
+    */
+  def render(spark: SparkSession, group: String, specs: Seq[Datasets.Spec], sims: Int): String = {
+    val byName = specs.map(s => s.name.stripSuffix("-lite") -> s)
+    val groups = Seq("stats", "bounds", "summary", "all") ++ byName.map(_._1)
+    require(groups.contains(group), s"unknown group '$group'; expected one of ${groups.mkString(", ")}")
+    val built = byName.toMap.get(group).fold(specs)(Seq(_)).map(Datasets.build(spark, _))
+    lazy val grids = built.map(b => b.pairs.map(Tables.nrmseTable(spark, b, _, sims)))
+    def stats = Seq(Tables.renderStats(built))
+    def nrmse = grids.flatten.map(_.render)
+    def bounds = built.map(b =>
+      Tables.renderBounds(b.name, b.pairs.map(p => p -> Tables.boundsRow(spark, b, p))))
+    def summary = grids.map(Tables.renderSummary)
+    val sections = group match {
+      case "stats"   => stats
+      case "bounds"  => bounds
+      case "summary" => summary
+      case "all"     => stats ++ nrmse ++ bounds ++ summary
+      case _         => nrmse
     }
-  }
-
-  private def nrmse(spark: SparkSession, ds: String, sims: Int): Unit = {
-    val b = Datasets.build(spark, byName(ds))
-    b.pairs.foreach { p =>
-      println(Tables.nrmseTable(spark, b, p, sims).render); println()
-    }
-  }
-
-  private def bounds(spark: SparkSession): Unit = {
-    println("Tables 18-22: sample-size bounds for a (0.1,0.1)-approximation")
-    Datasets.all.foreach { spec =>
-      val b = Datasets.build(spark, spec)
-      println(Tables.renderBounds(b.name, b.pairs.map(p => p -> Tables.boundsRow(spark, b, p))))
-      println()
-    }
-  }
-
-  private def summary(spark: SparkSession, sims: Int): Unit = {
-    Datasets.all.foreach { spec =>
-      val b = Datasets.build(spark, spec)
-      val tabs = b.pairs.map(p => Tables.nrmseTable(spark, b, p, sims))
-      println(Tables.renderSummary(
-        s"Best algorithm for ${b.name} using 5%|V| API calls", tabs))
-      println()
-    }
+    sections.map(_ + "\n\n").mkString
   }
 }

@@ -49,6 +49,13 @@ class MixingTimeSpec extends SparkSpec {
     assert(MixingTime.fromStart(g, 0, 1e-6, maxSteps = 50) == 50)
   }
 
+  test("estimate fails loudly when a start hits the step cap") {
+    // path(4) is bipartite, so no start ever mixes
+    val e = intercept[IllegalArgumentException](
+      MixingTime.estimate(TestGraphs.path(4), 1e-3, extraStarts = 2, maxSteps = 50))
+    assert(e.getMessage.contains("0.001") && e.getMessage.contains("50"), e.getMessage)
+  }
+
   test("after the reported mixing time TV is below eps") {
     val g = TestGraphs.connectedRandom(30, 80, seed = 43)
     val t = MixingTime.fromStart(g, 0, 1e-3, 5000)

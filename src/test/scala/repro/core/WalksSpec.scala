@@ -69,7 +69,7 @@ class WalksSpec extends SparkSpec {
     val g = TestGraphs.connectedRandom(20, 30, seed = 34)
     val tr = trace(g, 0, burnInSteps = 100, k = 50, new SplittableRandom(4))
     assert(tr.length == 51)
-    tr.sliding(2).foreach { case Array(a, b) =>
+    tr.zip(tr.tail).foreach { case (a, b) =>
       assert((0 until g.degree(a)).exists(g.neighbor(a, _) == b))
     }
   }

@@ -1,13 +1,19 @@
 package repro.exp
 
+import org.apache.spark.storage.StorageLevel
+
 import repro.{SparkSpec, TestGraphs}
 import repro.core.GroundTruth
 
 class DatasetsSpec extends SparkSpec {
   import spark.implicits._
 
+  private lazy val gender = Datasets.build(spark, TinySpecs.gender)
+  private lazy val zipf = Datasets.build(spark, TinySpecs.zipf)
+  private lazy val deg = Datasets.build(spark, TinySpecs.deg)
+
   test("gender dataset: builds, is connected, ids contiguous") {
-    val b = Datasets.build(spark, TinySpecs.gender)
+    val b = gender
     assert(b.nV > 100 && b.nV <= 400)
     assert(b.nE > b.nV - 1)
     val local = TestGraphs.edgeList(b.g)
@@ -16,7 +22,7 @@ class DatasetsSpec extends SparkSpec {
   }
 
   test("gender dataset: pair is (1,2) with the exact ground-truth F") {
-    val b = Datasets.build(spark, TinySpecs.gender)
+    val b = gender
     assert(b.pairs.size == 1)
     val p = b.pairs.head
     assert((p.t1, p.t2) == (1, 2))
@@ -26,25 +32,36 @@ class DatasetsSpec extends SparkSpec {
   }
 
   test("CSR graph and DataFrames agree on |V| and |E|") {
-    val b = Datasets.build(spark, TinySpecs.gender)
+    val b = gender
     assert(b.edges.count() == b.nE)
     assert(b.labels.count() == b.nV)
     assert(b.degrees.count() == b.nV)
   }
 
   test("burn-in is a measured positive mixing time") {
-    val b = Datasets.build(spark, TinySpecs.gender)
+    val b = gender
     assert(b.burnIn > 0 && b.burnIn <= 1000)
   }
 
-  test("build is cached by spec") {
-    val a = Datasets.build(spark, TinySpecs.gender)
+  test("build is a pure function of its spec") {
+    val a = gender
     val b = Datasets.build(spark, TinySpecs.gender)
-    assert(a eq b)
+    assert(a ne b)
+    assert(a.edges.orderBy("src", "dst").collect().toSeq == b.edges.orderBy("src", "dst").collect().toSeq)
+    assert(a.labels.orderBy("node").collect().toSeq == b.labels.orderBy("node").collect().toSeq)
+    assert(a.burnIn == b.burnIn)
+    assert(a.pairs == b.pairs)
+  }
+
+  test("build leaves no DataFrame cached") {
+    Seq(gender, zipf, deg).foreach { b =>
+      assert(b.edges.storageLevel == StorageLevel.NONE, b.name)
+      assert(b.labels.storageLevel == StorageLevel.NONE, b.name)
+    }
   }
 
   test("specs with the same name and different seeds build different datasets") {
-    val a = Datasets.build(spark, TinySpecs.gender)
+    val a = gender
     val b = Datasets.build(spark, TinySpecs.gender.copy(seed = TinySpecs.gender.seed + 1))
     assert(a.name == b.name)
     assert(TestGraphs.edgeList(a.g) != TestGraphs.edgeList(b.g))
@@ -57,7 +74,7 @@ class DatasetsSpec extends SparkSpec {
   }
 
   test("zipf dataset: pairs are ascending in F with distinct labels") {
-    val b = Datasets.build(spark, TinySpecs.zipf)
+    val b = zipf
     assert(b.pairs.size == 2)
     assert(b.pairs.map(_.f) == b.pairs.map(_.f).sorted)
     b.pairs.foreach { p =>
@@ -68,14 +85,14 @@ class DatasetsSpec extends SparkSpec {
   }
 
   test("degree dataset: label(u) = degree(u)") {
-    val b = Datasets.build(spark, TinySpecs.deg)
+    val b = deg
     (0 until b.g.numNodes).foreach { u =>
       assert(b.g.label(u) == b.g.degree(u), s"node $u")
     }
   }
 
   test("degree-bucket dataset: selected pairs carry their exact counts") {
-    val b = Datasets.build(spark, TinySpecs.deg)
+    val b = deg
     b.pairs.foreach { p =>
       assert(p.f == GroundTruth.targetEdgeCountLocal(b.g, p.t1, p.t2), s"$p")
     }

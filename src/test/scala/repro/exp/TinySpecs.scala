@@ -1,7 +1,7 @@
 package repro.exp
 
-/** Small dataset specs shared by exp-layer suites (cached across suites by
-  * spec in [[Datasets]], so each is built once per test JVM).
+/** Small dataset specs shared by the exp- and jobs-layer suites; each suite
+  * builds the ones it needs and holds them itself.
   */
 object TinySpecs {
   val gender = Datasets.Spec("tiny-gender", 400, 2400, Datasets.Gender(0.6), seed = 1, nPairs = 1)
