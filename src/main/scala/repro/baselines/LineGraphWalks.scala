@@ -63,7 +63,7 @@ object LineGraphWalks {
   private final val KGmd = 4
 
   /** Run one simulation of `variant`; returns (algorithm, k, estimate) at
-    * each checkpoint. `checkpoints` ascending and non-empty.
+    * each checkpoint. `checkpoints` ascending, non-empty, ≥ 1.
     *
     * One loop runs the burn-in (steps 1 − burnInSteps .. 0) and the sampled
     * steps 1 .. max(checkpoints) over `Int` state: the current G-edge (u, v)
@@ -83,8 +83,8 @@ object LineGraphWalks {
     */
   def run(g: CsrGraph, variant: Variant, t1: Int, t2: Int, checkpoints: Seq[Int],
           burnInSteps: Int, rng: SplittableRandom): Seq[(String, Int, Double)] = {
-    require(checkpoints.nonEmpty && checkpoints == checkpoints.sorted,
-      s"checkpoints must be ascending: $checkpoints")
+    require(checkpoints.nonEmpty && checkpoints.head >= 1 && checkpoints == checkpoints.sorted,
+      s"checkpoints must be ascending and >= 1: $checkpoints")
     require(burnInSteps >= 0, s"burnInSteps must be non-negative, got $burnInSteps")
     val nE = g.numEdges
     val ks = checkpoints.toArray

@@ -67,11 +67,13 @@ object Bounds {
   }
 
   /** All five bounds for one (dataset, label) — one row of Tables 18–22 —
-    * from d(u) and T(u) of every node.
+    * from d(u) ≥ 1 and T(u) of every node, in arrays of equal length.
     */
   def fromCounts(degree: Array[Int], t: Array[Int], nV: Long, nE: Long, f: Long,
                  eps: Double = 0.1, delta: Double = 0.1): SampleBounds = {
     require(f > 0, s"every bound divides by F², so F must be positive, got $f")
+    require(degree.length == t.length, s"degree has ${degree.length} nodes but t has ${t.length}")
+    require(degree.forall(_ >= 1), "the NeighborExploration bounds divide by d(u), so every degree must be >= 1")
     SampleBounds(
       nsHH = nsHansenHurwitz(nE, f, eps, delta),
       nsHT = nsHorvitzThompson(nE, f, eps, delta),

@@ -36,12 +36,12 @@ object NeighborExploration {
 
   /** Run one simulation; returns (algorithm, apiBudget, estimate) per
     * estimator per checkpoint. `checkpoints` (API-call budgets) must be
-    * ascending and non-empty.
+    * ascending, non-empty and ≥ 1.
     */
   def run(g: CsrGraph, t1: Int, t2: Int, checkpoints: Seq[Int], burnInSteps: Int,
           rng: SplittableRandom): Seq[(String, Int, Double)] = {
-    require(checkpoints.nonEmpty && checkpoints == checkpoints.sorted,
-      s"checkpoints must be ascending: $checkpoints")
+    require(checkpoints.nonEmpty && checkpoints.head >= 1 && checkpoints == checkpoints.sorted,
+      s"checkpoints must be ascending and >= 1: $checkpoints")
     val nE = g.numEdges
     val nV = g.numNodes
     val maxBudget = checkpoints.last

@@ -23,12 +23,12 @@ object NeighborSample {
   val HT = "NeighborSample-HT"
 
   /** Run one simulation; returns (algorithm, k, estimate) for each estimator
-    * at each checkpoint. `checkpoints` must be ascending and non-empty.
+    * at each checkpoint. `checkpoints` must be ascending, non-empty and ≥ 1.
     */
   def run(g: CsrGraph, t1: Int, t2: Int, checkpoints: Seq[Int], burnInSteps: Int,
           rng: SplittableRandom): Seq[(String, Int, Double)] = {
-    require(checkpoints.nonEmpty && checkpoints == checkpoints.sorted,
-      s"checkpoints must be ascending: $checkpoints")
+    require(checkpoints.nonEmpty && checkpoints.head >= 1 && checkpoints == checkpoints.sorted,
+      s"checkpoints must be ascending and >= 1: $checkpoints")
     val nE = g.numEdges
     val maxK = checkpoints.last
     val out = mutable.ArrayBuffer.empty[(String, Int, Double)]

@@ -2,6 +2,9 @@ package repro.core
 
 import java.util.SplittableRandom
 
+import scala.collection.mutable
+
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
@@ -12,10 +15,12 @@ import repro.graph.CsrGraph
   *
   * The walk itself is sequential; the parallel dimension is the paper's 200
   * independent simulations per table cell. The CSR graph is broadcast once
-  * and an RDD of simulation indices fans the walks out across cores. The
-  * estimates are collected once and NRMSE over (algorithm, budget) is
-  * aggregated on the driver, in simulation order, so a grid does not depend
-  * on how the simulations were partitioned.
+  * and an RDD of simulation indices fans the walks out across cores. Each
+  * simulation ships its estimates as one `Array[Double]` in a fixed cell
+  * layout: cell j is (`AllAlgorithms(j / nK)`, `checkpoints(j % nK)`) over
+  * the nK strictly ascending checkpoints. The driver computes each cell's
+  * NRMSE from its column of the sims × cells matrix, in simulation order, so
+  * a grid does not depend on how the simulations were partitioned.
   */
 object Nrmse {
 
@@ -41,54 +46,88 @@ object Nrmse {
     ns ++ ne ++ ex
   }
 
-  /** Simulations `0 until sims` as (sim, its (algorithm, k, estimate) rows),
-    * run over a broadcast of `g`.
+  /** [[simulate]]'s rows written into the cell layout over budgets `ks`;
+    * every cell must be written exactly once.
+    */
+  private def cells(rows: Seq[(String, Int, Double)], ks: Array[Int]): Array[Double] = {
+    val out = new Array[Double](AllAlgorithms.size * ks.length)
+    val written = new Array[Boolean](out.length)
+    rows.foreach { case (alg, k, est) =>
+      val a = AllAlgorithms.indexOf(alg)
+      val j = java.util.Arrays.binarySearch(ks, k)
+      require(a >= 0 && j >= 0, s"no cell for ($alg, $k)")
+      val c = a * ks.length + j
+      require(!written(c), s"($alg, $k) estimated twice in one simulation")
+      written(c) = true
+      out(c) = est
+    }
+    require(rows.size == out.length, s"${out.length - rows.size} cells not estimated")
+    out
+  }
+
+  /** Simulations `0 until sims` as (sim, its estimates in the cell layout),
+    * run over a broadcast of `g` that the caller destroys once it no longer
+    * needs the RDD.
     */
   private def fanOut(spark: SparkSession, g: CsrGraph, t1: Int, t2: Int,
                      checkpoints: Seq[Int], burnInSteps: Int, sims: Int,
-                     seedBase: Long): RDD[(Int, Seq[(String, Int, Double)])] = {
+                     seedBase: Long): (Broadcast[CsrGraph], RDD[(Int, Array[Double])]) = {
     require(sims > 0, s"sims must be positive, got $sims")
+    require(checkpoints.nonEmpty && checkpoints.head >= 1 &&
+            checkpoints.lazyZip(checkpoints.tail).forall(_ < _),
+      s"checkpoints must be strictly ascending and >= 1: $checkpoints")
+    val ks = checkpoints.toArray
     val bc = spark.sparkContext.broadcast(g)
     val slices = math.min(sims, spark.sparkContext.defaultParallelism * 2)
-    spark.sparkContext
+    bc -> spark.sparkContext
       .parallelize(0 until sims, slices)
-      .map(sim => sim -> simulate(bc.value, t1, t2, checkpoints, burnInSteps, seedBase + sim))
+      .map(sim => sim -> cells(simulate(bc.value, t1, t2, checkpoints, burnInSteps, seedBase + sim), ks))
   }
 
   /** Raw estimates over `sims` independent simulations as a DataFrame
-    * (algorithm, k, sim, estimate).
+    * (algorithm, k, sim, estimate). The DataFrame is lazy and reads the
+    * graph's broadcast whenever it is computed, so that broadcast is left
+    * to Spark's `ContextCleaner`, not destroyed here.
     */
   def estimates(spark: SparkSession, g: CsrGraph, t1: Int, t2: Int,
                 checkpoints: Seq[Int], burnInSteps: Int, sims: Int,
                 seedBase: Long): DataFrame = {
     import spark.implicits._
-    fanOut(spark, g, t1, t2, checkpoints, burnInSteps, sims, seedBase)
-      .flatMap { case (sim, rows) => rows.map { case (alg, k, est) => (alg, k, sim, est) } }
+    val (_, perSim) = fanOut(spark, g, t1, t2, checkpoints, burnInSteps, sims, seedBase)
+    val ks = checkpoints.toIndexedSeq
+    perSim
+      .flatMap { case (sim, est) =>
+        est.indices.map(c => (AllAlgorithms(c / ks.size), ks(c % ks.size), sim, est(c)))
+      }
       .toDF("algorithm", "k", "sim", "estimate")
   }
 
-  /** NRMSE(F̂) = sqrt(E[(F̂−F)²])/F per (algorithm, k) — paper Eq. 24 —
-    * over (algorithm, k, estimate) rows, summed in row order.
+  /** Paper Eq. 24 for one cell: sqrt(Σ (e − F)² / n) / F over its `n`
+    * estimates `est(0 until n)`, summed from 0.0 in that order.
     */
-  private def aggregate(rows: Seq[(String, Int, Double)], f: Long): Map[String, Map[Int, Double]] = {
-    require(f > 0, s"NRMSE divides by F, which must be positive, got $f")
-    rows.groupMap(_._1)(r => r._2 -> r._3).map { case (alg, byK) =>
-      alg -> byK.groupMap(_._1)(_._2).map { case (k, ests) =>
-        k -> math.sqrt(ests.map(e => (e - f) * (e - f)).sum / ests.size) / f
-      }
-    }
+  private def cellNrmse(n: Int, est: Int => Double, f: Long): Double = {
+    var sum = 0.0
+    var i = 0
+    while (i < n) { val e = est(i); sum += (e - f) * (e - f); i += 1 }
+    math.sqrt(sum / n) / f
   }
 
-  /** [[aggregate]] over an (algorithm, k, sim, estimate) DataFrame, as
-    * (algorithm, k, nrmse).
+  private def requirePositive(f: Long): Unit =
+    require(f > 0, s"NRMSE divides by F, which must be positive, got $f")
+
+  /** NRMSE per (algorithm, k) over an (algorithm, k, sim, estimate)
+    * DataFrame, each cell summed in row order, as (algorithm, k, nrmse).
     */
   def nrmse(estimatesDf: DataFrame, f: Long): DataFrame = {
+    requirePositive(f)
     val spark = estimatesDf.sparkSession
     import spark.implicits._
-    val rows = estimatesDf.select("algorithm", "k", "estimate").collect()
-      .map(r => (r.getString(0), r.getInt(1), r.getDouble(2)))
-    val cells = for ((alg, byK) <- aggregate(rows.toSeq, f).toSeq; (k, v) <- byK) yield (alg, k, v)
-    cells.toDF("algorithm", "k", "nrmse")
+    val byCell = mutable.LinkedHashMap.empty[(String, Int), mutable.ArrayBuffer[Double]]
+    estimatesDf.select("algorithm", "k", "estimate").collect().foreach { r =>
+      byCell.getOrElseUpdate((r.getString(0), r.getInt(1)), mutable.ArrayBuffer.empty) += r.getDouble(2)
+    }
+    byCell.toSeq.map { case ((alg, k), ests) => (alg, k, cellNrmse(ests.length, ests, f)) }
+      .toDF("algorithm", "k", "nrmse")
   }
 
   /** End-to-end: algorithm -> k -> NRMSE for table printing, from one Spark
@@ -97,11 +136,20 @@ object Nrmse {
   def run(spark: SparkSession, g: CsrGraph, t1: Int, t2: Int,
           checkpoints: Seq[Int], burnInSteps: Int, sims: Int, f: Long,
           seedBase: Long = 42L): Map[String, Map[Int, Double]] = {
-    val perSim = fanOut(spark, g, t1, t2, checkpoints, burnInSteps, sims, seedBase).collect()
-    aggregate(perSim.toSeq.flatMap(_._2), f)
+    requirePositive(f)
+    val (bc, perSim) = fanOut(spark, g, t1, t2, checkpoints, burnInSteps, sims, seedBase)
+    val est = try perSim.values.collect() finally bc.destroy()
+    val nK = checkpoints.size
+    AllAlgorithms.zipWithIndex.map { case (alg, a) =>
+      alg -> checkpoints.zipWithIndex.map { case (k, j) =>
+        k -> cellNrmse(sims, s => est(s)(a * nK + j), f)
+      }.toMap
+    }.toMap
   }
 
   /** The paper's budget grid: k = {0.5%, 1.0%, …, 5.0%}·|V| (ceil, ≥1). */
-  def paperCheckpoints(nV: Long): Seq[Int] =
+  def paperCheckpoints(nV: Long): Seq[Int] = {
+    require(nV >= 1, s"a graph has at least one node, got |V| = $nV")
     (1 to 10).map(j => math.max(1, math.ceil(nV * 0.005 * j).toInt)).distinct
+  }
 }

@@ -33,6 +33,11 @@ class LineGraphWalksSpec extends SparkSpec {
       LineGraphWalks.run(g, ExRw, 1, 2, Seq(9, 3), 10, new SplittableRandom(1)))
   }
 
+  test("checkpoints below 1 fail loudly") {
+    for (v <- defaultVariants) intercept[IllegalArgumentException](
+      LineGraphWalks.run(g, v, 1, 2, Seq(0, 10, 20), 10, new SplittableRandom(1)))
+  }
+
   test("burn-in must be non-negative") {
     intercept[IllegalArgumentException](
       LineGraphWalks.run(g, ExRw, 1, 2, Seq(5), -1, new SplittableRandom(1)))

@@ -116,4 +116,16 @@ class BoundsSpec extends SparkSpec {
   test("all rejects F = 0 (every bound divides by F²)") {
     intercept[IllegalArgumentException](Bounds.all(incidentDf, g.numNodes, g.numEdges, 0L))
   }
+
+  test("fromCounts rejects a degree-0 node (the NE bounds divide by d(u))") {
+    intercept[IllegalArgumentException](Bounds.fromCounts(Array(2, 0, 1), Array(1, 0, 1), 3, 2, 1))
+  }
+
+  test("fromCounts rejects a t array shorter than degree") {
+    intercept[IllegalArgumentException](Bounds.fromCounts(Array(1, 2, 1), Array(1, 1), 3, 2, 1))
+  }
+
+  test("fromCounts rejects a t array longer than degree") {
+    intercept[IllegalArgumentException](Bounds.fromCounts(Array(1, 2, 1), Array(1, 1, 0, 5), 3, 2, 1))
+  }
 }

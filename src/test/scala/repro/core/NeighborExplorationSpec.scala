@@ -21,6 +21,11 @@ class NeighborExplorationSpec extends SparkSpec {
       NeighborExploration.run(g, 1, 2, Seq(9, 3), 10, new SplittableRandom(1)))
   }
 
+  test("checkpoints below 1 fail loudly") {
+    intercept[IllegalArgumentException](
+      NeighborExploration.run(g, 1, 2, Seq(0, 10, 20), 10, new SplittableRandom(1)))
+  }
+
   test("deterministic in the seed") {
     val a = NeighborExploration.run(g, 1, 2, Seq(10, 30), 50, new SplittableRandom(3))
     val b = NeighborExploration.run(g, 1, 2, Seq(10, 30), 50, new SplittableRandom(3))

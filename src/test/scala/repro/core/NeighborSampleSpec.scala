@@ -24,6 +24,11 @@ class NeighborSampleSpec extends SparkSpec {
       NeighborSample.run(g, 1, 2, Seq(10, 5), 10, new SplittableRandom(1)))
   }
 
+  test("checkpoints below 1 fail loudly") {
+    intercept[IllegalArgumentException](
+      NeighborSample.run(g, 1, 2, Seq(0, 10, 20), 10, new SplittableRandom(1)))
+  }
+
   test("deterministic in the seed") {
     val a = NeighborSample.run(g, 1, 2, Seq(10, 30), 50, new SplittableRandom(3))
     val b = NeighborSample.run(g, 1, 2, Seq(10, 30), 50, new SplittableRandom(3))

@@ -1,5 +1,9 @@
 package repro.core
 
+import org.apache.spark.storage.BroadcastBlockId
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.{Seconds, Span}
+
 import repro.{SparkSpec, TestGraphs}
 
 class NrmseSpec extends SparkSpec {
@@ -81,6 +85,39 @@ class NrmseSpec extends SparkSpec {
     assert(Nrmse.run(spark, g, 1, 2, cps, 50, sims, f, seedBase) == expected)
   }
 
+  test("estimates followed by nrmse equals run, bit for bit") {
+    val (cps, sims, seedBase) = (Seq(10, 25), 13, 5L)
+    val viaDf = Nrmse.nrmse(Nrmse.estimates(spark, g, 1, 2, cps, 50, sims, seedBase), f).collect()
+      .map(r => (r.getString(0), r.getInt(1), java.lang.Double.doubleToLongBits(r.getDouble(2)))).toSet
+    val viaRun = for ((alg, byK) <- Nrmse.run(spark, g, 1, 2, cps, 50, sims, f, seedBase).toSet; (k, v) <- byK)
+      yield (alg, k, java.lang.Double.doubleToLongBits(v))
+    assert(viaDf.size == 10 * cps.size && viaDf == viaRun)
+  }
+
+  test("run and estimates reject duplicate, descending or sub-1 checkpoints") {
+    Seq(Seq(10, 10, 20), Seq(20, 10), Seq(0, 10), Seq(-5, 10), Seq.empty[Int]).foreach { cps =>
+      intercept[IllegalArgumentException](Nrmse.run(spark, g, 1, 2, cps, 50, sims = 2, f = f))
+      intercept[IllegalArgumentException](Nrmse.estimates(spark, g, 1, 2, cps, 50, sims = 2, seedBase = 1))
+    }
+  }
+
+  test("run releases its broadcast of the graph") {
+    // a graph object of this test's own, so every block holding it is run's
+    val graph = TestGraphs.connectedRandom(40, 80, seed = 95, nLabels = 3)
+    val blockManager = org.apache.spark.SparkEnv.get.blockManager
+    // broadcast value blocks on the driver that hold `graph` (Spark's own
+    // task-binary broadcasts stay until its ContextCleaner removes them)
+    def holding = blockManager.getMatchingBlockIds(_.isBroadcast).count {
+      case id @ BroadcastBlockId(_, "") =>
+        blockManager.getLocalValues(id).exists(_.data.toList.exists(_.asInstanceOf[AnyRef] eq graph))
+      case _ => false
+    }
+    val before = holding
+    Nrmse.run(spark, graph, 1, 2, Seq(10), 50, sims = 4, f = f, seedBase = 3)
+    // destroy() removes the blocks asynchronously
+    eventually(timeout(Span(10, Seconds)))(assert(holding <= before))
+  }
+
   test("run and estimates reject sims = 0") {
     intercept[IllegalArgumentException](Nrmse.run(spark, g, 1, 2, Seq(10), 50, sims = 0, f = f))
     intercept[IllegalArgumentException](Nrmse.estimates(spark, g, 1, 2, Seq(10), 50, sims = 0, seedBase = 1))
@@ -104,5 +141,9 @@ class NrmseSpec extends SparkSpec {
     assert(Nrmse.paperCheckpoints(1000).head == 5)
     val tiny = Nrmse.paperCheckpoints(10) // duplicates collapse, stays ascending
     assert(tiny == tiny.sorted && tiny.distinct == tiny && tiny.nonEmpty)
+  }
+
+  test("paperCheckpoints rejects |V| < 1") {
+    Seq(0L, -5L).foreach(nV => intercept[IllegalArgumentException](Nrmse.paperCheckpoints(nV)))
   }
 }
