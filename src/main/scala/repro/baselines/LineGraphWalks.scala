@@ -2,8 +2,6 @@ package repro.baselines
 
 import java.util.SplittableRandom
 
-import scala.collection.mutable
-
 import repro.core.{Estimators, Walks}
 import repro.graph.CsrGraph
 
@@ -62,8 +60,7 @@ object LineGraphWalks {
   private final val KRcmh = 3
   private final val KGmd = 4
 
-  /** Run one simulation of `variant`; returns (algorithm, k, estimate) at
-    * each checkpoint. `checkpoints` ascending, non-empty, ≥ 1.
+  /** Run one simulation of `variant`; returns its estimate at checkpoint j in slot j.
     *
     * One loop runs the burn-in (steps 1 − burnInSteps .. 0) and the sampled
     * steps 1 .. max(checkpoints) over `Int` state: the current G-edge (u, v)
@@ -82,12 +79,9 @@ object LineGraphWalks {
     * without drawing. Nothing is allocated per step.
     */
   def run(g: CsrGraph, variant: Variant, t1: Int, t2: Int, checkpoints: Seq[Int],
-          burnInSteps: Int, rng: SplittableRandom): Seq[(String, Int, Double)] = {
-    require(checkpoints.nonEmpty && checkpoints.head >= 1 && checkpoints == checkpoints.sorted,
-      s"checkpoints must be ascending and >= 1: $checkpoints")
-    require(burnInSteps >= 0, s"burnInSteps must be non-negative, got $burnInSteps")
+          burnInSteps: Int, rng: SplittableRandom): Array[Double] = {
+    val ks = Walks.requireSchedule(checkpoints, burnInSteps)
     val nE = g.numEdges
-    val ks = checkpoints.toArray
     val maxK = ks.last
     val offsets = g.offsets
     val neighbors = g.neighbors
@@ -112,7 +106,7 @@ object LineGraphWalks {
     var v = neighbors(offsets(u) + rng.nextInt(dU))
     var dV = offsets(v + 1) - offsets(v)
 
-    val out = mutable.ArrayBuffer.empty[(String, Int, Double)]
+    val out = new Array[Double](ks.length)
     var hits = 0L          // Σ I(eᵢ) for uniform-stationary chains
     var weightSum = 0.0    // Σ wᵢ for re-weighted chains
     var weightedHits = 0.0 // Σ I(eᵢ)·wᵢ
@@ -157,16 +151,15 @@ object LineGraphWalks {
           weightSum += wt; if (isTarget) weightedHits += wt
         }
         while (next < ks.length && ks(next) == step) {
-          val k = ks(next)
-          val est =
-            if (uniformStationary) Estimators.uniformCount(nE, hits, k)
+          out(next) =
+            if (uniformStationary) Estimators.uniformCount(nE, hits, step)
             else Estimators.reweightedCount(nE, weightedHits, weightSum)
-          out += ((variant.name, k, est))
           next += 1
         }
       }
       step += 1
     }
-    out.toSeq
+    require(next == ks.length, s"${ks.length - next} checkpoints not estimated")
+    out
   }
 }

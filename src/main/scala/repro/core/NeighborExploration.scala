@@ -34,18 +34,17 @@ object NeighborExploration {
   val HT = "NeighborExploration-HT"
   val RW = "NeighborExploration-RW"
 
-  /** Run one simulation; returns (algorithm, apiBudget, estimate) per
-    * estimator per checkpoint. `checkpoints` (API-call budgets) must be
-    * ascending, non-empty and ≥ 1.
+  /** Run one simulation; over the nK API-call budgets `checkpoints`, returns
+    * HH at budget j in slot j, HT in slot nK + j and RW in slot 2·nK + j.
     */
   def run(g: CsrGraph, t1: Int, t2: Int, checkpoints: Seq[Int], burnInSteps: Int,
-          rng: SplittableRandom): Seq[(String, Int, Double)] = {
-    require(checkpoints.nonEmpty && checkpoints.head >= 1 && checkpoints == checkpoints.sorted,
-      s"checkpoints must be ascending and >= 1: $checkpoints")
+          rng: SplittableRandom): Array[Double] = {
+    val ks = Walks.requireSchedule(checkpoints, burnInSteps)
     val nE = g.numEdges
     val nV = g.numNodes
-    val maxBudget = checkpoints.last
-    val out = mutable.ArrayBuffer.empty[(String, Int, Double)]
+    val nK = ks.length
+    val maxBudget = ks.last
+    val out = new Array[Double](3 * nK)
 
     var u = Walks.burnIn(g, Walks.uniformStart(g, rng), burnInSteps, rng)
     var apiCalls = 0L
@@ -70,14 +69,14 @@ object NeighborExploration {
           distinct.update(u, (t, d))
         }
       }
-      while (next < checkpoints.length && checkpoints(next) <= apiCalls) {
-        val b = checkpoints(next)
-        out += ((HH, b, Estimators.neHansenHurwitz(nE, sumTOverD, samples)))
-        out += ((HT, b, Estimators.neHorvitzThompson(nE, distinct.values, samples)))
-        out += ((RW, b, Estimators.neReweighted(nV, sumTOverD, sumInvD)))
+      while (next < nK && ks(next) <= apiCalls) {
+        out(next) = Estimators.neHansenHurwitz(nE, sumTOverD, samples)
+        out(nK + next) = Estimators.neHorvitzThompson(nE, distinct.values, samples)
+        out(2 * nK + next) = Estimators.neReweighted(nV, sumTOverD, sumInvD)
         next += 1
       }
     }
-    out.toSeq
+    require(next == nK, s"${nK - next} checkpoints not estimated")
+    out
   }
 }

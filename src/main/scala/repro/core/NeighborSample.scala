@@ -2,8 +2,6 @@ package repro.core
 
 import java.util.SplittableRandom
 
-import scala.collection.mutable
-
 import repro.graph.CsrGraph
 
 /** NeighborSample (paper Algorithm 1 + §4.1) — edge sampling via one walk.
@@ -22,16 +20,16 @@ object NeighborSample {
   val HH = "NeighborSample-HH"
   val HT = "NeighborSample-HT"
 
-  /** Run one simulation; returns (algorithm, k, estimate) for each estimator
-    * at each checkpoint. `checkpoints` must be ascending, non-empty and ≥ 1.
+  /** Run one simulation; returns 2·nK estimates over the nK `checkpoints`:
+    * HH at checkpoint j in slot j, then HT at checkpoint j in slot nK + j.
     */
   def run(g: CsrGraph, t1: Int, t2: Int, checkpoints: Seq[Int], burnInSteps: Int,
-          rng: SplittableRandom): Seq[(String, Int, Double)] = {
-    require(checkpoints.nonEmpty && checkpoints.head >= 1 && checkpoints == checkpoints.sorted,
-      s"checkpoints must be ascending and >= 1: $checkpoints")
+          rng: SplittableRandom): Array[Double] = {
+    val ks = Walks.requireSchedule(checkpoints, burnInSteps)
     val nE = g.numEdges
-    val maxK = checkpoints.last
-    val out = mutable.ArrayBuffer.empty[(String, Int, Double)]
+    val nK = ks.length
+    val maxK = ks.last
+    val out = new Array[Double](2 * nK)
 
     var u = Walks.burnIn(g, Walks.uniformStart(g, rng), burnInSteps, rng)
     var targetHits = 0L
@@ -45,14 +43,14 @@ object NeighborSample {
         distinctTargets.add(CsrGraph.edgeKey(u, v))
       }
       u = v
-      while (next < checkpoints.length && checkpoints(next) == i) {
-        val k = checkpoints(next)
-        out += ((HH, k, Estimators.nsHansenHurwitz(nE, targetHits, k)))
-        out += ((HT, k, Estimators.nsHorvitzThompson(nE, distinctTargets.size, k)))
+      while (next < nK && ks(next) == i) {
+        out(next) = Estimators.nsHansenHurwitz(nE, targetHits, i)
+        out(nK + next) = Estimators.nsHorvitzThompson(nE, distinctTargets.size, i)
         next += 1
       }
       i += 1
     }
-    out.toSeq
+    require(next == nK, s"${nK - next} checkpoints not estimated")
+    out
   }
 }

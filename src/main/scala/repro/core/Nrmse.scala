@@ -32,36 +32,22 @@ object Nrmse {
     LineGraphWalks.RCMH, LineGraphWalks.GMD,
   )
 
-  /** One full simulation: every algorithm, independent RNG streams derived
-    * from `seed`, one estimate per (algorithm, checkpoint).
+  /** One full simulation in the cell layout over the nK `checkpoints`: NS and NE
+    * fill rows 0–4, each EX variant row `AllAlgorithms.indexOf(v.name)`, each on
+    * its own RNG stream split from `seed` (NS, NE, then `defaultVariants` in order).
     */
   def simulate(g: CsrGraph, t1: Int, t2: Int, checkpoints: Seq[Int],
-               burnInSteps: Int, seed: Long): Seq[(String, Int, Double)] = {
+               burnInSteps: Int, seed: Long): Array[Double] = {
+    val nK = checkpoints.size
     val root = new SplittableRandom(seed)
     // split() gives statistically independent streams per algorithm family
     val ns = NeighborSample.run(g, t1, t2, checkpoints, burnInSteps, root.split())
     val ne = NeighborExploration.run(g, t1, t2, checkpoints, burnInSteps, root.split())
-    val ex = LineGraphWalks.defaultVariants.flatMap(v =>
-      LineGraphWalks.run(g, v, t1, t2, checkpoints, burnInSteps, root.split()))
-    ns ++ ne ++ ex
-  }
-
-  /** [[simulate]]'s rows written into the cell layout over budgets `ks`;
-    * every cell must be written exactly once.
-    */
-  private def cells(rows: Seq[(String, Int, Double)], ks: Array[Int]): Array[Double] = {
-    val out = new Array[Double](AllAlgorithms.size * ks.length)
-    val written = new Array[Boolean](out.length)
-    rows.foreach { case (alg, k, est) =>
-      val a = AllAlgorithms.indexOf(alg)
-      val j = java.util.Arrays.binarySearch(ks, k)
-      require(a >= 0 && j >= 0, s"no cell for ($alg, $k)")
-      val c = a * ks.length + j
-      require(!written(c), s"($alg, $k) estimated twice in one simulation")
-      written(c) = true
-      out(c) = est
-    }
-    require(rows.size == out.length, s"${out.length - rows.size} cells not estimated")
+    val out = ns ++ ne ++ new Array[Double](LineGraphWalks.defaultVariants.size * nK)
+    require(out.length == AllAlgorithms.size * nK, s"${out.length} estimates for ${AllAlgorithms.size * nK} cells")
+    LineGraphWalks.defaultVariants.foreach(v => System.arraycopy(
+      LineGraphWalks.run(g, v, t1, t2, checkpoints, burnInSteps, root.split()), 0,
+      out, AllAlgorithms.indexOf(v.name) * nK, nK))
     out
   }
 
@@ -73,15 +59,13 @@ object Nrmse {
                      checkpoints: Seq[Int], burnInSteps: Int, sims: Int,
                      seedBase: Long): (Broadcast[CsrGraph], RDD[(Int, Array[Double])]) = {
     require(sims > 0, s"sims must be positive, got $sims")
-    require(checkpoints.nonEmpty && checkpoints.head >= 1 &&
-            checkpoints.lazyZip(checkpoints.tail).forall(_ < _),
-      s"checkpoints must be strictly ascending and >= 1: $checkpoints")
-    val ks = checkpoints.toArray
+    Walks.requireSchedule(checkpoints, burnInSteps)
+    require(checkpoints.distinct == checkpoints, s"checkpoints must be distinct: $checkpoints")
     val bc = spark.sparkContext.broadcast(g)
     val slices = math.min(sims, spark.sparkContext.defaultParallelism * 2)
     bc -> spark.sparkContext
       .parallelize(0 until sims, slices)
-      .map(sim => sim -> cells(simulate(bc.value, t1, t2, checkpoints, burnInSteps, seedBase + sim), ks))
+      .map(sim => sim -> simulate(bc.value, t1, t2, checkpoints, burnInSteps, seedBase + sim))
   }
 
   /** Raw estimates over `sims` independent simulations as a DataFrame

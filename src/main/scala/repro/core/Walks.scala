@@ -21,6 +21,16 @@ object Walks {
   def uniformStart(g: CsrGraph, rng: SplittableRandom): Int =
     rng.nextInt(g.numNodes)
 
+  /** Checks the schedule every walker takes — `checkpoints` non-empty,
+    * ascending (duplicates allowed) and ≥ 1, burn-in ≥ 0 — and returns the
+    * checkpoints as an array.
+    */
+  def requireSchedule(checkpoints: Seq[Int], burnInSteps: Int): Array[Int] = {
+    require(checkpoints.nonEmpty && checkpoints.head >= 1 && checkpoints == checkpoints.sorted && burnInSteps >= 0,
+      s"checkpoints must be ascending and >= 1, burnInSteps >= 0: $checkpoints, $burnInSteps")
+    checkpoints.toArray
+  }
+
   /** Walk `burnIn` steps from `start` and return the end node — the paper's
     * "walk until the mixing time is achieved" prefix, excluded from samples.
     */

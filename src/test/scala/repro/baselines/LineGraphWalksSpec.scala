@@ -23,8 +23,12 @@ class LineGraphWalksSpec extends SparkSpec {
   test("one row per checkpoint, correctly named") {
     for (v <- defaultVariants) {
       val out = LineGraphWalks.run(g, v, 1, 2, Seq(5, 10), 50, new SplittableRandom(1))
-      assert(out.map(_._1).distinct == Seq(v.name))
-      assert(out.map(_._2) == Seq(5, 10))
+      assert(out.length == 2, v.name)
+      // slot j holds checkpoint j: each equals a run to that checkpoint alone
+      Seq(5, 10).zipWithIndex.foreach { case (k, j) =>
+        val alone = LineGraphWalks.run(g, v, 1, 2, Seq(k), 50, new SplittableRandom(1))
+        assert(out(j) == alone(0), s"${v.name} k=$k")
+      }
     }
   }
 
@@ -68,8 +72,6 @@ class LineGraphWalksSpec extends SparkSpec {
     )
     val variants = defaultVariants ++ Seq(ExRcmh(0.0), ExRcmh(1.0), ExGmd(1.0))
     val checkpoints = Seq(1, 5, 5, 40) // includes a duplicate
-    def bits(rows: Seq[(String, Int, Double)]) =
-      rows.map { case (alg, k, est) => (alg, k, java.lang.Double.doubleToLongBits(est)) }
     for {
       (name, graph) <- graphs
       v <- variants
@@ -79,7 +81,11 @@ class LineGraphWalksSpec extends SparkSpec {
     } {
       val got = LineGraphWalks.run(graph, v, t1, t2, checkpoints, burnIn, new SplittableRandom(seed))
       val want = LineGraphWalksReference.run(graph, v, t1, t2, checkpoints, burnIn, new SplittableRandom(seed))
-      assert(bits(got) == bits(want), s"$name ${v.name} ($t1,$t2) burnIn=$burnIn seed=$seed")
+      val clue = s"$name ${v.name} ($t1,$t2) burnIn=$burnIn seed=$seed"
+      assert(want.map(r => (r._1, r._2)) == checkpoints.map(k => (v.name, k)), clue)
+      // slot j is checkpoint j
+      assert(got.toSeq.map(java.lang.Double.doubleToLongBits) ==
+        want.map(r => java.lang.Double.doubleToLongBits(r._3)), clue)
     }
   }
 
@@ -88,15 +94,15 @@ class LineGraphWalksSpec extends SparkSpec {
       val a = LineGraphWalks.run(g, v, 1, 2, Seq(20), 50, new SplittableRandom(3))
       val b = LineGraphWalks.run(g, v, 1, 2, Seq(20), 50, new SplittableRandom(3))
       val c = LineGraphWalks.run(g, v, 1, 2, Seq(20), 50, new SplittableRandom(4))
-      assert(a == b, v.name)
-      assert(a != c || a.head._3 == c.head._3, v.name) // different walks may tie numerically
+      assert(a sameElements b, v.name)
+      assert(!(a sameElements c) || a.head == c.head, v.name) // different walks may tie numerically
     }
   }
 
   test("estimates are zero when the target labels are absent") {
     for (v <- defaultVariants) {
       val out = LineGraphWalks.run(g, v, 8, 9, Seq(10, 20), 50, new SplittableRandom(7))
-      assert(out.forall(_._3 == 0.0), v.name)
+      assert(out.forall(_ == 0.0), v.name)
     }
   }
 
@@ -126,7 +132,7 @@ class LineGraphWalksSpec extends SparkSpec {
   test("EX-RW is empirically consistent: mean near F") {
     val sims = 400
     val mean = (1 to sims).map { s =>
-      LineGraphWalks.run(g, ExRw, 1, 2, Seq(80), 200, new SplittableRandom(1000 + s)).head._3
+      LineGraphWalks.run(g, ExRw, 1, 2, Seq(80), 200, new SplittableRandom(1000 + s)).head
     }.sum / sims
     assert(math.abs(mean - f) < 0.15 * f, s"mean=$mean F=$f")
   }
@@ -134,7 +140,7 @@ class LineGraphWalksSpec extends SparkSpec {
   test("EX-MHRW is empirically unbiased: mean near F") {
     val sims = 400
     val mean = (1 to sims).map { s =>
-      LineGraphWalks.run(g, ExMhrw, 1, 2, Seq(80), 200, new SplittableRandom(2000 + s)).head._3
+      LineGraphWalks.run(g, ExMhrw, 1, 2, Seq(80), 200, new SplittableRandom(2000 + s)).head
     }.sum / sims
     assert(math.abs(mean - f) < 0.15 * f, s"mean=$mean F=$f")
   }
@@ -142,7 +148,7 @@ class LineGraphWalksSpec extends SparkSpec {
   test("EX-MDRW is empirically unbiased: mean near F") {
     val sims = 400
     val mean = (1 to sims).map { s =>
-      LineGraphWalks.run(g, ExMdrw, 1, 2, Seq(80), 400, new SplittableRandom(3000 + s)).head._3
+      LineGraphWalks.run(g, ExMdrw, 1, 2, Seq(80), 400, new SplittableRandom(3000 + s)).head
     }.sum / sims
     // self-loop-heavy chain: slower mixing, looser tolerance
     assert(math.abs(mean - f) < 0.25 * f, s"mean=$mean F=$f")
@@ -151,7 +157,7 @@ class LineGraphWalksSpec extends SparkSpec {
   test("EX-RCMH(0.3) is empirically consistent: mean near F") {
     val sims = 400
     val mean = (1 to sims).map { s =>
-      LineGraphWalks.run(g, ExRcmh(0.3), 1, 2, Seq(80), 200, new SplittableRandom(4000 + s)).head._3
+      LineGraphWalks.run(g, ExRcmh(0.3), 1, 2, Seq(80), 200, new SplittableRandom(4000 + s)).head
     }.sum / sims
     assert(math.abs(mean - f) < 0.15 * f, s"mean=$mean F=$f")
   }
@@ -159,7 +165,7 @@ class LineGraphWalksSpec extends SparkSpec {
   test("EX-GMD(0.5) is empirically consistent: mean near F") {
     val sims = 400
     val mean = (1 to sims).map { s =>
-      LineGraphWalks.run(g, ExGmd(0.5), 1, 2, Seq(80), 400, new SplittableRandom(5000 + s)).head._3
+      LineGraphWalks.run(g, ExGmd(0.5), 1, 2, Seq(80), 400, new SplittableRandom(5000 + s)).head
     }.sum / sims
     assert(math.abs(mean - f) < 0.25 * f, s"mean=$mean F=$f")
   }
@@ -169,7 +175,7 @@ class LineGraphWalksSpec extends SparkSpec {
     // the MDRW plain average; distributions match — compare long-run means.
     val sims = 300
     def mean(v: Variant, base: Int): Double = (1 to sims).map { s =>
-      LineGraphWalks.run(g, v, 1, 2, Seq(120), 400, new SplittableRandom(base + s)).head._3
+      LineGraphWalks.run(g, v, 1, 2, Seq(120), 400, new SplittableRandom(base + s)).head
     }.sum / sims
     val md = mean(ExMdrw, 11000)
     val gmd = mean(ExGmd(1.0), 12000)
@@ -179,7 +185,7 @@ class LineGraphWalksSpec extends SparkSpec {
   test("EX-RCMH(0) reduces to EX-RW (same stationary law)") {
     val sims = 300
     def mean(v: Variant, base: Int): Double = (1 to sims).map { s =>
-      LineGraphWalks.run(g, v, 1, 2, Seq(120), 200, new SplittableRandom(base + s)).head._3
+      LineGraphWalks.run(g, v, 1, 2, Seq(120), 200, new SplittableRandom(base + s)).head
     }.sum / sims
     val rw = mean(ExRw, 13000)
     val rc = mean(ExRcmh(0.0), 14000)
@@ -193,9 +199,8 @@ class LineGraphWalksSpec extends SparkSpec {
     def rmse(runner: Int => Double): Double =
       math.sqrt((1 to sims).map { s => val e = runner(s); (e - f) * (e - f) }.sum / sims)
     val nsRmse = rmse(s => NeighborSample
-      .run(g, 1, 2, Seq(80), 200, new SplittableRandom(20000 + s))
-      .find(_._1 == NeighborSample.HH).get._3)
-    val mdRmse = rmse(s => LineGraphWalks.run(g, ExMdrw, 1, 2, Seq(80), 200, new SplittableRandom(21000 + s)).head._3)
+      .run(g, 1, 2, Seq(80), 200, new SplittableRandom(20000 + s))(0)) // HH
+    val mdRmse = rmse(s => LineGraphWalks.run(g, ExMdrw, 1, 2, Seq(80), 200, new SplittableRandom(21000 + s)).head)
     assert(nsRmse < mdRmse, s"NS-HH rmse=$nsRmse should beat EX-MDRW rmse=$mdRmse")
   }
 }

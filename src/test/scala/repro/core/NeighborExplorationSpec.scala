@@ -10,10 +10,15 @@ class NeighborExplorationSpec extends SparkSpec {
   private lazy val f = TestGraphs.bruteForceF(g, 1, 2).toDouble
 
   test("emits one row per estimator per checkpoint") {
-    val out = NeighborExploration.run(g, 1, 2, Seq(5, 15), 50, new SplittableRandom(1))
-    assert(out.size == 6)
-    assert(out.map(_._1).toSet ==
-      Set(NeighborExploration.HH, NeighborExploration.HT, NeighborExploration.RW))
+    val cps = Seq(5, 15)
+    val out = NeighborExploration.run(g, 1, 2, cps, 50, new SplittableRandom(1))
+    assert(out.length == 3 * cps.size)
+    // HH, HT and RW at budget j in slots j, nK + j and 2·nK + j: each equals
+    // a run to that budget alone
+    cps.zipWithIndex.foreach { case (k, j) =>
+      val alone = NeighborExploration.run(g, 1, 2, Seq(k), 50, new SplittableRandom(1))
+      assert(Seq(out(j), out(cps.size + j), out(2 * cps.size + j)) == alone.toSeq, s"k=$k")
+    }
   }
 
   test("checkpoints must be ascending") {
@@ -26,28 +31,32 @@ class NeighborExplorationSpec extends SparkSpec {
       NeighborExploration.run(g, 1, 2, Seq(0, 10, 20), 10, new SplittableRandom(1)))
   }
 
+  test("negative burn-in fails loudly") {
+    intercept[IllegalArgumentException](
+      NeighborExploration.run(g, 1, 2, Seq(5), -1, new SplittableRandom(1)))
+  }
+
   test("deterministic in the seed") {
     val a = NeighborExploration.run(g, 1, 2, Seq(10, 30), 50, new SplittableRandom(3))
     val b = NeighborExploration.run(g, 1, 2, Seq(10, 30), 50, new SplittableRandom(3))
-    assert(a == b)
+    assert(a sameElements b)
   }
 
   test("prefix consistency across checkpoint lists") {
     val full = NeighborExploration.run(g, 1, 2, Seq(10, 40), 50, new SplittableRandom(5))
     val short = NeighborExploration.run(g, 1, 2, Seq(10), 50, new SplittableRandom(5))
-    assert(full.filter(_._2 == 10).toSet == short.toSet)
+    assert(Seq(full(0), full(2), full(4)) == short.toSeq) // HH, HT and RW at budget 10
   }
 
   test("estimates are zero when the target labels are absent") {
     val out = NeighborExploration.run(g, 8, 9, Seq(10, 20), 50, new SplittableRandom(7))
-    assert(out.forall(_._3 == 0.0))
+    assert(out.forall(_ == 0.0))
   }
 
   test("HH is empirically unbiased: mean over sims close to F") {
     val sims = 600
     val mean = (1 to sims).map { s =>
-      NeighborExploration.run(g, 1, 2, Seq(40), 150, new SplittableRandom(2000 + s))
-        .find(_._1 == NeighborExploration.HH).get._3
+      NeighborExploration.run(g, 1, 2, Seq(40), 150, new SplittableRandom(2000 + s))(0)
     }.sum / sims
     assert(math.abs(mean - f) < 0.10 * f, s"mean=$mean F=$f")
   }
@@ -55,8 +64,7 @@ class NeighborExplorationSpec extends SparkSpec {
   test("RW is consistent: mean over sims within 15% of F") {
     val sims = 600
     val mean = (1 to sims).map { s =>
-      NeighborExploration.run(g, 1, 2, Seq(60), 150, new SplittableRandom(3000 + s))
-        .find(_._1 == NeighborExploration.RW).get._3
+      NeighborExploration.run(g, 1, 2, Seq(60), 150, new SplittableRandom(3000 + s))(2)
     }.sum / sims
     assert(math.abs(mean - f) < 0.15 * f, s"mean=$mean F=$f")
   }
@@ -64,8 +72,7 @@ class NeighborExplorationSpec extends SparkSpec {
   test("HT is close to unbiased: mean over sims within 15% of F") {
     val sims = 600
     val mean = (1 to sims).map { s =>
-      NeighborExploration.run(g, 1, 2, Seq(40), 150, new SplittableRandom(4000 + s))
-        .find(_._1 == NeighborExploration.HT).get._3
+      NeighborExploration.run(g, 1, 2, Seq(40), 150, new SplittableRandom(4000 + s))(1)
     }.sum / sims
     assert(math.abs(mean - f) < 0.15 * f, s"mean=$mean F=$f")
   }
@@ -76,7 +83,7 @@ class NeighborExplorationSpec extends SparkSpec {
     val star = TestGraphs.star(12)
     for (seed <- 1 to 5) {
       val out = NeighborExploration.run(star, 1, 2, Seq(30), 30, new SplittableRandom(seed))
-      assert(out.find(_._1 == NeighborExploration.HH).get._3 == star.numEdges.toDouble)
+      assert(out(0) == star.numEdges.toDouble) // HH
     }
   }
 
@@ -87,7 +94,7 @@ class NeighborExplorationSpec extends SparkSpec {
     val star = TestGraphs.star(12)
     for (seed <- 1 to 5) {
       val out = NeighborExploration.run(star, 1, 2, Seq(14), 30, new SplittableRandom(seed))
-      assert(out.find(_._1 == NeighborExploration.RW).get._3 == star.numEdges.toDouble)
+      assert(out(2) == star.numEdges.toDouble) // RW
     }
   }
 
@@ -98,7 +105,7 @@ class NeighborExplorationSpec extends SparkSpec {
     // while an all-target graph crosses the budget within a couple samples.
     val star = TestGraphs.star(12)
     val rows = NeighborExploration.run(star, 1, 2, Seq(2), 30, new SplittableRandom(3))
-    assert(rows.size == 3) // a single high-cost sample still serves the checkpoint
+    assert(rows.length == 3) // a single high-cost sample still serves the checkpoint
   }
 
   test("NE beats NS on rare labels (the paper's central claim, small scale)") {
@@ -112,7 +119,7 @@ class NeighborExplorationSpec extends SparkSpec {
           NeighborSample.run(rare, 1, 2, Seq(60), 200, new SplittableRandom(6000 + s))
         else
           NeighborExploration.run(rare, 1, 2, Seq(60), 200, new SplittableRandom(6000 + s))
-      val est = rows.find(_._1 == alg).get._3
+      val est = rows(0) // HH, slot 0 in both walkers' layouts
       (est - fr) * (est - fr)
     }.sum / sims)
     val ns = rmse(NeighborSample.HH)

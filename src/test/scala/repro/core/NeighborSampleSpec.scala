@@ -13,10 +13,14 @@ class NeighborSampleSpec extends SparkSpec {
   private lazy val f = TestGraphs.bruteForceF(g, 1, 2).toDouble
 
   test("emits one row per estimator per checkpoint") {
-    val out = NeighborSample.run(g, 1, 2, Seq(5, 10, 20), 100, new SplittableRandom(1))
-    assert(out.size == 6)
-    assert(out.map(_._1).toSet == Set(NeighborSample.HH, NeighborSample.HT))
-    assert(out.filter(_._1 == NeighborSample.HH).map(_._2) == Seq(5, 10, 20))
+    val cps = Seq(5, 10, 20)
+    val out = NeighborSample.run(g, 1, 2, cps, 100, new SplittableRandom(1))
+    assert(out.length == 2 * cps.size)
+    // HH at checkpoint j in slot j, HT in slot nK + j: each equals a run to that checkpoint alone
+    cps.zipWithIndex.foreach { case (k, j) =>
+      val alone = NeighborSample.run(g, 1, 2, Seq(k), 100, new SplittableRandom(1))
+      assert(Seq(out(j), out(cps.size + j)) == alone.toSeq, s"k=$k")
+    }
   }
 
   test("checkpoints must be ascending") {
@@ -29,37 +33,41 @@ class NeighborSampleSpec extends SparkSpec {
       NeighborSample.run(g, 1, 2, Seq(0, 10, 20), 10, new SplittableRandom(1)))
   }
 
+  test("negative burn-in fails loudly") {
+    intercept[IllegalArgumentException](
+      NeighborSample.run(g, 1, 2, Seq(5), -1, new SplittableRandom(1)))
+  }
+
   test("deterministic in the seed") {
     val a = NeighborSample.run(g, 1, 2, Seq(10, 30), 50, new SplittableRandom(3))
     val b = NeighborSample.run(g, 1, 2, Seq(10, 30), 50, new SplittableRandom(3))
     val c = NeighborSample.run(g, 1, 2, Seq(10, 30), 50, new SplittableRandom(4))
-    assert(a == b)
-    assert(a != c)
+    assert(a sameElements b)
+    assert(!(a sameElements c))
   }
 
   test("prefix consistency: estimate at k is independent of later checkpoints") {
     val full = NeighborSample.run(g, 1, 2, Seq(10, 40), 50, new SplittableRandom(5))
     val short = NeighborSample.run(g, 1, 2, Seq(10), 50, new SplittableRandom(5))
-    assert(full.filter(_._2 == 10).toSet == short.toSet)
+    assert(Seq(full(0), full(2)) == short.toSeq) // HH and HT at k = 10
   }
 
   test("HH estimates are multiples of |E|/k") {
     val out = NeighborSample.run(g, 1, 2, Seq(20), 50, new SplittableRandom(6))
-    val hh = out.find(_._1 == NeighborSample.HH).get._3
+    val hh = out(0)
     val unit = g.numEdges.toDouble / 20
     assert(math.abs(hh / unit - math.round(hh / unit)) < 1e-9)
   }
 
   test("estimates are zero when the target labels are absent") {
     val out = NeighborSample.run(g, 8, 9, Seq(10, 20), 50, new SplittableRandom(7))
-    assert(out.forall(_._3 == 0.0))
+    assert(out.forall(_ == 0.0))
   }
 
   test("HH is empirically unbiased: mean over sims close to F") {
     val sims = 600
     val mean = (1 to sims).map { s =>
-      NeighborSample.run(g, 1, 2, Seq(40), 150, new SplittableRandom(1000 + s))
-        .find(_._1 == NeighborSample.HH).get._3
+      NeighborSample.run(g, 1, 2, Seq(40), 150, new SplittableRandom(1000 + s))(0)
     }.sum / sims
     assert(math.abs(mean - f) < 0.10 * f, s"mean=$mean F=$f")
   }
@@ -67,8 +75,7 @@ class NeighborSampleSpec extends SparkSpec {
   test("HT is close to unbiased: mean over sims within 15% of F") {
     val sims = 600
     val mean = (1 to sims).map { s =>
-      NeighborSample.run(g, 1, 2, Seq(40), 150, new SplittableRandom(5000 + s))
-        .find(_._1 == NeighborSample.HT).get._3
+      NeighborSample.run(g, 1, 2, Seq(40), 150, new SplittableRandom(5000 + s))(1)
     }.sum / sims
     assert(math.abs(mean - f) < 0.15 * f, s"mean=$mean F=$f")
   }
@@ -77,8 +84,7 @@ class NeighborSampleSpec extends SparkSpec {
     def rmse(k: Int, seedBase: Int): Double = {
       val sims = 300
       math.sqrt((1 to sims).map { s =>
-        val est = NeighborSample.run(g, 1, 2, Seq(k), 150, new SplittableRandom(seedBase + s))
-          .find(_._1 == NeighborSample.HH).get._3
+        val est = NeighborSample.run(g, 1, 2, Seq(k), 150, new SplittableRandom(seedBase + s))(0)
         (est - f) * (est - f)
       }.sum / sims)
     }
@@ -90,7 +96,7 @@ class NeighborSampleSpec extends SparkSpec {
     // Use a 2-node-label graph where every edge is a target instead.
     val star = TestGraphs.star(12) // center 1, leaves 2: every edge is (1,2)
     val out = NeighborSample.run(star, 1, 2, Seq(25), 50, new SplittableRandom(9))
-    val hh = out.find(_._1 == NeighborSample.HH).get._3
+    val hh = out(0)
     assert(hh == star.numEdges.toDouble)
   }
 
@@ -138,9 +144,11 @@ class NeighborSampleSpec extends SparkSpec {
     (1 to 5).foreach { seed =>
       val got = NeighborSample.run(big, 1, 2, checkpoints, 30, new SplittableRandom(seed))
       val want = reference(seed, checkpoints)
-      assert(got.map(r => (r._1, r._2, java.lang.Double.doubleToLongBits(r._3))) ==
-        want.map(r => (r._1, r._2, java.lang.Double.doubleToLongBits(r._3))), s"seed $seed")
-      assert(got.last._3 > 0.0)
+      val (hh, ht) = want.partition(_._1 == NeighborSample.HH)
+      assert(hh.map(_._2) == checkpoints && ht.map(_._2) == checkpoints, s"seed $seed")
+      assert(got.toSeq.map(java.lang.Double.doubleToLongBits) ==
+        (hh ++ ht).map(r => java.lang.Double.doubleToLongBits(r._3)), s"seed $seed")
+      assert(got.last > 0.0)
     }
   }
 }

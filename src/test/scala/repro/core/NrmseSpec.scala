@@ -1,10 +1,13 @@
 package repro.core
 
+import java.util.SplittableRandom
+
 import org.apache.spark.storage.BroadcastBlockId
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.{Seconds, Span}
 
 import repro.{SparkSpec, TestGraphs}
+import repro.baselines.LineGraphWalks
 
 class NrmseSpec extends SparkSpec {
 
@@ -20,14 +23,37 @@ class NrmseSpec extends SparkSpec {
 
   test("simulate emits every algorithm at every checkpoint") {
     val rows = Nrmse.simulate(g, 1, 2, Seq(10, 20), 50, seed = 1)
-    assert(rows.size == 10 * 2)
-    assert(rows.map(_._1).toSet == Nrmse.AllAlgorithms.toSet)
+    assert(rows.length == Nrmse.AllAlgorithms.size * 2)
+  }
+
+  test("simulate's rows equal each walker's run on its own split stream, bit for bit") {
+    def bits(est: Array[Double]) = est.toSeq.map(java.lang.Double.doubleToLongBits)
+    for (cps <- Seq(Seq(10, 20), Seq(1, 5, 5, 40)); seed <- 1L to 3L) {
+      val nK = cps.size
+      val got = Nrmse.simulate(g, 1, 2, cps, 50, seed)
+      assert(got.length == 10 * nK)
+      // n rows of the layout, starting at algorithm alg's
+      def rows(alg: String, n: Int) = {
+        val a = Nrmse.AllAlgorithms.indexOf(alg)
+        got.slice(a * nK, (a + n) * nK)
+      }
+      val root = new SplittableRandom(seed)
+      val clue = s"checkpoints $cps seed $seed"
+      assert(bits(NeighborSample.run(g, 1, 2, cps, 50, root.split())) ==
+        bits(rows(NeighborSample.HH, 2)), clue)
+      assert(bits(NeighborExploration.run(g, 1, 2, cps, 50, root.split())) ==
+        bits(rows(NeighborExploration.HH, 3)), clue)
+      LineGraphWalks.defaultVariants.foreach { v =>
+        assert(bits(LineGraphWalks.run(g, v, 1, 2, cps, 50, root.split())) ==
+          bits(rows(v.name, 1)), s"${v.name} $clue")
+      }
+    }
   }
 
   test("simulate is deterministic in the seed") {
     val a = Nrmse.simulate(g, 1, 2, Seq(10, 20), 50, seed = 7)
     val b = Nrmse.simulate(g, 1, 2, Seq(10, 20), 50, seed = 7)
-    assert(a == b)
+    assert(a sameElements b)
   }
 
   test("estimates DataFrame has sims x algorithms x checkpoints rows") {
@@ -74,7 +100,8 @@ class NrmseSpec extends SparkSpec {
     val (cps, sims, seedBase) = (Seq(10, 25), 13, 5L)
     val sq = scala.collection.mutable.Map.empty[(String, Int), (Double, Int)]
     (0 until sims).foreach { s =>
-      Nrmse.simulate(g, 1, 2, cps, 50, seedBase + s).foreach { case (alg, k, est) =>
+      Nrmse.simulate(g, 1, 2, cps, 50, seedBase + s).zipWithIndex.foreach { case (est, c) =>
+        val (alg, k) = (Nrmse.AllAlgorithms(c / cps.size), cps(c % cps.size))
         val (sum, n) = sq.getOrElse((alg, k), (0.0, 0))
         sq((alg, k)) = (sum + (est - f) * (est - f), n + 1)
       }
@@ -121,6 +148,11 @@ class NrmseSpec extends SparkSpec {
   test("run and estimates reject sims = 0") {
     intercept[IllegalArgumentException](Nrmse.run(spark, g, 1, 2, Seq(10), 50, sims = 0, f = f))
     intercept[IllegalArgumentException](Nrmse.estimates(spark, g, 1, 2, Seq(10), 50, sims = 0, seedBase = 1))
+  }
+
+  test("run and estimates reject a negative burn-in") {
+    intercept[IllegalArgumentException](Nrmse.run(spark, g, 1, 2, Seq(10), -1, sims = 2, f = f))
+    intercept[IllegalArgumentException](Nrmse.estimates(spark, g, 1, 2, Seq(10), -1, sims = 2, seedBase = 1))
   }
 
   test("run and nrmse reject F = 0 (NRMSE divides by F)") {
