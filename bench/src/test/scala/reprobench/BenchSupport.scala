@@ -46,7 +46,7 @@ trait BenchSupport extends SparkSpec {
     algs.map(a => a -> t.results(a)(k)).minBy(_._2)
   }
 
-  /** Print a rendered table through ScalaTest's info stream and stdout. */
+  /** Print a rendered table to stdout, followed by a blank line. */
   def show(s: String): Unit = { println(s); println() }
 }
 

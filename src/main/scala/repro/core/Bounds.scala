@@ -72,6 +72,8 @@ object Bounds {
   def fromCounts(degree: Array[Int], t: Array[Int], nV: Long, nE: Long, f: Long,
                  eps: Double = 0.1, delta: Double = 0.1): SampleBounds = {
     require(f > 0, s"every bound divides by F², so F must be positive, got $f")
+    require(eps > 0 && eps < Double.PositiveInfinity && delta > 0 && delta < 1,
+      s"need a finite eps > 0 and 0 < delta < 1, got eps = $eps, delta = $delta")
     require(degree.length == t.length, s"degree has ${degree.length} nodes but t has ${t.length}")
     require(degree.forall(_ >= 1), "the NeighborExploration bounds divide by d(u), so every degree must be >= 1")
     SampleBounds(

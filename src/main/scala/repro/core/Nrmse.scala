@@ -4,8 +4,6 @@ import java.util.SplittableRandom
 
 import scala.collection.mutable
 
-import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
 import repro.baselines.LineGraphWalks
@@ -51,39 +49,37 @@ object Nrmse {
     out
   }
 
-  /** Simulations `0 until sims` as (sim, its estimates in the cell layout),
-    * run over a broadcast of `g` that the caller destroys once it no longer
-    * needs the RDD.
+  /** The sims × cells matrix of simulations `0 until sims`: row s is
+    * simulation s's estimates in the cell layout. One Spark job runs them
+    * over a broadcast of `g`, which is destroyed before this returns.
     */
-  private def fanOut(spark: SparkSession, g: CsrGraph, t1: Int, t2: Int,
-                     checkpoints: Seq[Int], burnInSteps: Int, sims: Int,
-                     seedBase: Long): (Broadcast[CsrGraph], RDD[(Int, Array[Double])]) = {
+  private def simulations(spark: SparkSession, g: CsrGraph, t1: Int, t2: Int,
+                          checkpoints: Seq[Int], burnInSteps: Int, sims: Int,
+                          seedBase: Long): Array[Array[Double]] = {
     require(sims > 0, s"sims must be positive, got $sims")
     Walks.requireSchedule(checkpoints, burnInSteps)
-    require(checkpoints.distinct == checkpoints, s"checkpoints must be distinct: $checkpoints")
     val bc = spark.sparkContext.broadcast(g)
     val slices = math.min(sims, spark.sparkContext.defaultParallelism * 2)
-    bc -> spark.sparkContext
+    try spark.sparkContext
       .parallelize(0 until sims, slices)
-      .map(sim => sim -> simulate(bc.value, t1, t2, checkpoints, burnInSteps, seedBase + sim))
+      .map(sim => simulate(bc.value, t1, t2, checkpoints, burnInSteps, seedBase + sim))
+      .collect()
+    finally bc.destroy()
   }
 
-  /** Raw estimates over `sims` independent simulations as a DataFrame
-    * (algorithm, k, sim, estimate). The DataFrame is lazy and reads the
-    * graph's broadcast whenever it is computed, so that broadcast is left
-    * to Spark's `ContextCleaner`, not destroyed here.
+  /** Raw estimates over `sims` independent simulations as a local DataFrame
+    * (algorithm, k, sim, estimate), in simulation order and the cell layout
+    * within each simulation.
     */
   def estimates(spark: SparkSession, g: CsrGraph, t1: Int, t2: Int,
                 checkpoints: Seq[Int], burnInSteps: Int, sims: Int,
                 seedBase: Long): DataFrame = {
     import spark.implicits._
-    val (_, perSim) = fanOut(spark, g, t1, t2, checkpoints, burnInSteps, sims, seedBase)
+    val est = simulations(spark, g, t1, t2, checkpoints, burnInSteps, sims, seedBase)
     val ks = checkpoints.toIndexedSeq
-    perSim
-      .flatMap { case (sim, est) =>
-        est.indices.map(c => (AllAlgorithms(c / ks.size), ks(c % ks.size), sim, est(c)))
-      }
-      .toDF("algorithm", "k", "sim", "estimate")
+    est.indices.flatMap { sim =>
+      est(sim).indices.map(c => (AllAlgorithms(c / ks.size), ks(c % ks.size), sim, est(sim)(c)))
+    }.toDF("algorithm", "k", "sim", "estimate")
   }
 
   /** Paper Eq. 24 for one cell: sqrt(Σ (e − F)² / n) / F over its `n`
@@ -121,8 +117,7 @@ object Nrmse {
           checkpoints: Seq[Int], burnInSteps: Int, sims: Int, f: Long,
           seedBase: Long = 42L): Map[String, Map[Int, Double]] = {
     requirePositive(f)
-    val (bc, perSim) = fanOut(spark, g, t1, t2, checkpoints, burnInSteps, sims, seedBase)
-    val est = try perSim.values.collect() finally bc.destroy()
+    val est = simulations(spark, g, t1, t2, checkpoints, burnInSteps, sims, seedBase)
     val nK = checkpoints.size
     AllAlgorithms.zipWithIndex.map { case (alg, a) =>
       alg -> checkpoints.zipWithIndex.map { case (k, j) =>

@@ -43,7 +43,10 @@ object Datasets {
   final case class Gender(frac1: Double) extends LabelScheme {
     require(frac1 > 0.0 && frac1 < 1.0, s"Gender needs 0 < frac1 < 1, got $frac1")
   }
-  final case class ZipfLocations(nLabels: Int, s: Double) extends LabelScheme
+  final case class ZipfLocations(nLabels: Int, s: Double) extends LabelScheme {
+    require(nLabels >= 2 && java.lang.Double.isFinite(s) && s != 1.0,
+      s"ZipfLocations needs nLabels >= 2 and a finite s != 1, got $nLabels and $s")
+  }
   case object DegreeBuckets extends LabelScheme
 
   /** Generation recipe for one dataset.
@@ -57,7 +60,10 @@ object Datasets {
     */
   final case class Spec(name: String, n: Long, candidateEdges: Long,
                         scheme: LabelScheme, seed: Long, nPairs: Int,
-                        minPairCount: Long = 100)
+                        minPairCount: Long = 100) {
+    require(n >= 2 && candidateEdges >= 1 && nPairs >= 1,
+      s"$name needs n >= 2, candidateEdges >= 1 and nPairs >= 1, got $n, $candidateEdges and $nPairs")
+  }
 
   /** The five stand-ins. Gender splits are tuned so the (1,2) target-edge
     * share lands near the paper's (Facebook 42.4%, Google+ 26.9%).

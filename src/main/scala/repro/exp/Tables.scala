@@ -52,7 +52,7 @@ object Tables {
 
   /** One row of Tables 18–22: the five Theorem 4.1–4.5 bounds for a pair
     * at ε = δ = 0.1, from d(u) and T(u) read off the CSR graph. `spark` is
-    * unused but stays until perfbench's call to it narrows (ROADMAP item 1).
+    * unused but stays until perfbench's call to it narrows (ROADMAP item 4).
     */
   def boundsRow(@scala.annotation.unused spark: SparkSession, built: Datasets.Built,
                 pair: Datasets.LabelPair): Bounds.SampleBounds = {

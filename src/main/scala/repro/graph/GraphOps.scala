@@ -7,8 +7,7 @@ import org.apache.spark.sql.types._
 /** Bulk graph operations over canonical edge lists.
   *
   * Conventions: an *edge list* is a DataFrame (src: Long, dst: Long) with
-  * `src < dst`, distinct rows, no self-loops (see [[canonicalize]]); a
-  * *directed* edge list is its symmetrization (both orientations).
+  * `src < dst`, distinct rows, no self-loops (see [[canonicalize]]).
   */
 object GraphOps {
 
@@ -23,15 +22,10 @@ object GraphOps {
       .distinct()
   }
 
-  /** Both orientations of a canonical edge list: (u,v) and (v,u). */
-  def symmetrize(edges: DataFrame): DataFrame = {
-    edges.select(col("src") as "u", col("dst") as "v")
-      .union(edges.select(col("dst") as "u", col("src") as "v"))
-  }
-
-  /** Per-node degree of a canonical edge list: (node, degree). */
+  /** Per-node degree of a canonical edge list (an edge counts at both ends): (node, degree). */
   def degrees(edges: DataFrame): DataFrame = {
-    symmetrize(edges).groupBy(col("u") as "node")
+    edges.select(col("src") as "u").union(edges.select(col("dst") as "u"))
+      .groupBy(col("u") as "node")
       .agg(count(lit(1)).cast(LongType) as "degree")
   }
 

@@ -14,7 +14,8 @@ import repro.exp.{Datasets, Tables}
   */
 object RunTables {
 
-  private def session(): SparkSession = SparkSession.builder()
+  /** The Spark settings every table runs under; the test suites share them. */
+  private[repro] def session(): SparkSession = SparkSession.builder()
     .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
     .appName("repro-tables")
     .config("spark.sql.shuffle.partitions", "64")

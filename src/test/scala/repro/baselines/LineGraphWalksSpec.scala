@@ -33,8 +33,10 @@ class LineGraphWalksSpec extends SparkSpec {
   }
 
   test("checkpoints must be ascending") {
-    intercept[IllegalArgumentException](
-      LineGraphWalks.run(g, ExRw, 1, 2, Seq(9, 3), 10, new SplittableRandom(1)))
+    Seq(Seq(9, 3), Seq(10, 10)).foreach { cps =>
+      intercept[IllegalArgumentException](
+        LineGraphWalks.run(g, ExRw, 1, 2, cps, 10, new SplittableRandom(1)))
+    }
   }
 
   test("checkpoints below 1 fail loudly") {
@@ -71,7 +73,7 @@ class LineGraphWalksSpec extends SparkSpec {
       "rare labels" -> TestGraphs.rareLabelGraph(40, 4, seed = 83),
     )
     val variants = defaultVariants ++ Seq(ExRcmh(0.0), ExRcmh(1.0), ExGmd(1.0))
-    val checkpoints = Seq(1, 5, 5, 40) // includes a duplicate
+    val checkpoints = Seq(1, 5, 40)
     for {
       (name, graph) <- graphs
       v <- variants

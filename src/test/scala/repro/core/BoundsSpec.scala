@@ -117,6 +117,23 @@ class BoundsSpec extends SparkSpec {
     intercept[IllegalArgumentException](Bounds.all(incidentDf, g.numNodes, g.numEdges, 0L))
   }
 
+  test("fromCounts rejects an eps that is not finite and > 0") {
+    Seq(0.0, -0.1, Double.NaN, Double.PositiveInfinity).foreach { eps =>
+      intercept[IllegalArgumentException](Bounds.fromCounts(Array(1, 2, 1), Array(1, 1, 0), 3, 2, 1, eps = eps))
+    }
+  }
+
+  test("fromCounts rejects a delta outside (0, 1)") {
+    Seq(0.0, 1.0, -0.1, 1.5, Double.NaN).foreach { delta =>
+      intercept[IllegalArgumentException](Bounds.fromCounts(Array(1, 2, 1), Array(1, 1, 0), 3, 2, 1, delta = delta))
+    }
+  }
+
+  test("all rejects a degenerate eps or delta") {
+    intercept[IllegalArgumentException](Bounds.all(incidentDf, g.numNodes, g.numEdges, f, eps = 0.0))
+    intercept[IllegalArgumentException](Bounds.all(incidentDf, g.numNodes, g.numEdges, f, delta = 0.0))
+  }
+
   test("fromCounts rejects a degree-0 node (the NE bounds divide by d(u))") {
     intercept[IllegalArgumentException](Bounds.fromCounts(Array(2, 0, 1), Array(1, 0, 1), 3, 2, 1))
   }

@@ -22,8 +22,10 @@ class NeighborExplorationSpec extends SparkSpec {
   }
 
   test("checkpoints must be ascending") {
-    intercept[IllegalArgumentException](
-      NeighborExploration.run(g, 1, 2, Seq(9, 3), 10, new SplittableRandom(1)))
+    Seq(Seq(9, 3), Seq(10, 10)).foreach { cps =>
+      intercept[IllegalArgumentException](
+        NeighborExploration.run(g, 1, 2, cps, 10, new SplittableRandom(1)))
+    }
   }
 
   test("checkpoints below 1 fail loudly") {

@@ -24,8 +24,10 @@ class NeighborSampleSpec extends SparkSpec {
   }
 
   test("checkpoints must be ascending") {
-    intercept[IllegalArgumentException](
-      NeighborSample.run(g, 1, 2, Seq(10, 5), 10, new SplittableRandom(1)))
+    Seq(Seq(10, 5), Seq(10, 10)).foreach { cps =>
+      intercept[IllegalArgumentException](
+        NeighborSample.run(g, 1, 2, cps, 10, new SplittableRandom(1)))
+    }
   }
 
   test("checkpoints below 1 fail loudly") {

@@ -73,6 +73,32 @@ class DatasetsSpec extends SparkSpec {
     }
   }
 
+  test("ZipfLocations rejects fewer than 2 labels") {
+    Seq(1, 0, -3).foreach(nLabels => intercept[IllegalArgumentException](Datasets.ZipfLocations(nLabels, 0.8)))
+  }
+
+  test("ZipfLocations rejects an infinite exponent") {
+    Seq(Double.PositiveInfinity, Double.NegativeInfinity).foreach { s =>
+      intercept[IllegalArgumentException](Datasets.ZipfLocations(20, s))
+    }
+  }
+
+  test("ZipfLocations rejects a NaN or singular exponent") {
+    Seq(Double.NaN, 1.0).foreach(s => intercept[IllegalArgumentException](Datasets.ZipfLocations(20, s)))
+  }
+
+  test("Spec rejects fewer than 2 nodes") {
+    Seq(1L, 0L, -5L).foreach(n => intercept[IllegalArgumentException](TinySpecs.gender.copy(n = n)))
+  }
+
+  test("Spec rejects no candidate edges") {
+    Seq(0L, -1L).foreach(m => intercept[IllegalArgumentException](TinySpecs.gender.copy(candidateEdges = m)))
+  }
+
+  test("Spec rejects nPairs < 1") {
+    Seq(0, -1).foreach(k => intercept[IllegalArgumentException](TinySpecs.gender.copy(nPairs = k)))
+  }
+
   test("zipf dataset: pairs are ascending in F with distinct labels") {
     val b = zipf
     assert(b.pairs.size == 2)

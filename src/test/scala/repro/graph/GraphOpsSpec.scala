@@ -24,12 +24,6 @@ class GraphOpsSpec extends SparkSpec {
     assert(out.count() == 2)
   }
 
-  test("symmetrize emits both orientations") {
-    val sym = GraphOps.symmetrize(rawDf((1L, 2L), (2L, 3L))).collect()
-      .map(r => (r.getLong(0), r.getLong(1))).toSet
-    assert(sym == Set((1L, 2L), (2L, 1L), (2L, 3L), (3L, 2L)))
-  }
-
   test("degrees match a local count and cover all endpoints") {
     val g = TestGraphs.connectedRandom(40, 70, seed = 11)
     val deg = GraphOps.degrees(TestGraphs.edgesDf(spark, g)).collect()
