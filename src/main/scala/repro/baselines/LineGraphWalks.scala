@@ -77,6 +77,14 @@ object LineGraphWalks {
     * is redrawn until the neighbour w is not the excluded endpoint (exact:
     * no multi-edges). A move enters (a, w). A state with d' = 0 self-loops
     * without drawing. Nothing is allocated per step.
+    *
+    * Everything that depends only on the state — d', the target test, the
+    * estimator weight and the MD move probability — is computed once, when
+    * the chain enters the edge, so a rejection or self-loop step only draws
+    * and accumulates. EX-RCMH decides x < (d'(e)/d'(f))^α by [[rcmhAccept]]
+    * from a lazily filled d^α table, falling back to the direct `pow` only
+    * within 2⁻⁴⁰ of the boundary, where the two could disagree; every
+    * decision, draw and estimate is that of the direct test.
     */
   def run(g: CsrGraph, variant: Variant, t1: Int, t2: Int, checkpoints: Seq[Int],
           burnInSteps: Int, rng: SplittableRandom): Array[Double] = {
@@ -95,8 +103,9 @@ object LineGraphWalks {
     }
     val mdFamily = kind == KMdrw || kind == KGmd
     val uniformStationary = kind == KMhrw || kind == KMdrw // plain average, else re-weighted
-    // EX-RCMH weights d'^(α-1), filled on first use (0.0 = not yet computed;
-    // every weight is > 0 for α ≤ 1)
+    // EX-RCMH tables d^α and d^(α-1), filled on first use (0.0 = not yet
+    // computed; no entry is 0 for α ∈ [0, 1])
+    val rcmhPow = if (kind == KRcmh) new Array[Double](g.maxLineDegree + 1) else null
     val rcmhWeight = if (kind == KRcmh) new Array[Double](g.maxLineDegree + 1) else null
 
     // Start edge: one uniform node draw plus a uniform incident edge (any
@@ -105,16 +114,21 @@ object LineGraphWalks {
     var dU = offsets(u + 1) - offsets(u)
     var v = neighbors(offsets(u) + rng.nextInt(dU))
     var dV = offsets(v + 1) - offsets(v)
+    // per-state values of (u, v), refreshed whenever the chain moves
+    var dCur = dU + dV - 2
+    var moveP = if (mdFamily) dCur / math.max(dCur.toDouble, cap) else 1.0
+    var isTarget = g.isTargetEdge(u, v, t1, t2)
+    var wt = weight(kind, dCur, cap, alpha, rcmhWeight)
 
     val out = new Array[Double](ks.length)
     var hits = 0L          // Σ I(eᵢ) for uniform-stationary chains
     var weightSum = 0.0    // Σ wᵢ for re-weighted chains
     var weightedHits = 0.0 // Σ I(eᵢ)·wᵢ
-    var next = 0
+    var next = 0           // slot of the next checkpoint, at step nextK
+    var nextK = ks(0)
     var step = 1 - burnInSteps
     while (step <= maxK) {
-      val dCur = dU + dV - 2
-      if (dCur > 0 && (!mdFamily || rng.nextDouble() < dCur / math.max(dCur.toDouble, cap))) {
+      if (dCur > 0 && (!mdFamily || rng.nextDouble() < moveP)) {
         val anchorIsU = rng.nextInt(dCur) < dU - 1
         val a = if (anchorIsU) u else v
         val excluded = if (anchorIsU) v else u
@@ -123,43 +137,76 @@ object LineGraphWalks {
         var w = excluded
         while (w == excluded) w = neighbors(base + rng.nextInt(dA))
         val dW = offsets(w + 1) - offsets(w)
+        val dProp = dA + dW - 2
         val accept = kind match {
-          case KMhrw => rng.nextDouble() < dCur.toDouble / (dA + dW - 2)
-          case KRcmh =>
-            // pow(r ≥ 1, α ≥ 0) ≥ 1 > x, so the pow is only needed for r < 1
-            val dProp = dA + dW - 2
-            val x = rng.nextDouble()
-            dCur >= dProp || x < math.pow(dCur.toDouble / dProp, alpha)
+          case KMhrw => rng.nextDouble() < dCur.toDouble / dProp
+          case KRcmh => rcmhAccept(rng.nextDouble(), dCur, dProp, alpha, rcmhPow)
           case _ => true
         }
-        if (accept) { u = a; dU = dA; v = w; dV = dW }
+        if (accept) {
+          u = a; dU = dA; v = w; dV = dW
+          dCur = dProp
+          if (mdFamily) moveP = dCur / math.max(dCur.toDouble, cap)
+          isTarget = g.isTargetEdge(u, v, t1, t2)
+          wt = weight(kind, dCur, cap, alpha, rcmhWeight)
+        }
       }
       if (step >= 1) {
-        val isTarget = g.isTargetEdge(u, v, t1, t2)
-        val dLine = dU + dV - 2
         if (uniformStationary) {
           if (isTarget) hits += 1
         } else {
-          val wt = kind match {
-            case KRw   => 1.0 / dLine
-            case KRcmh =>
-              var x = rcmhWeight(dLine)
-              if (x == 0.0) { x = math.pow(dLine.toDouble, alpha - 1.0); rcmhWeight(dLine) = x }
-              x
-            case _     => 1.0 / math.max(dLine.toDouble, cap)
-          }
           weightSum += wt; if (isTarget) weightedHits += wt
         }
-        while (next < ks.length && ks(next) == step) {
+        if (step == nextK) { // strictly ascending: at most one checkpoint per step
           out(next) =
             if (uniformStationary) Estimators.uniformCount(nE, hits, step)
             else Estimators.reweightedCount(nE, weightedHits, weightSum)
           next += 1
+          nextK = if (next < ks.length) ks(next) else 0 // 0: none left
         }
       }
       step += 1
     }
     require(next == ks.length, s"${ks.length - next} checkpoints not estimated")
     out
+  }
+
+  /** The estimator weight of a state with line degree d: 1/d (EX-RW),
+    * d^(α-1) (EX-RCMH), 1/max(d, C) (EX-GMD); unused by the plain-average
+    * chains.
+    */
+  private def weight(kind: Int, d: Int, cap: Double, alpha: Double, rcmhWeight: Array[Double]): Double =
+    kind match {
+      case KRw   => 1.0 / d
+      case KRcmh => tabled(rcmhWeight, d, alpha - 1.0)
+      case KGmd  => 1.0 / math.max(d.toDouble, cap)
+      case _     => 0.0
+    }
+
+  /** `table(d)` = d^exponent, computed on first use (0.0 marks an empty slot). */
+  private def tabled(table: Array[Double], d: Int, exponent: Double): Double = {
+    var x = table(d)
+    if (x == 0.0) { x = math.pow(d.toDouble, exponent); table(d) = x }
+    x
+  }
+
+  private val AcceptBelow = 1.0 - math.scalb(1.0, -40)
+  private val RejectAbove = 1.0 + math.scalb(1.0, -40)
+
+  /** EX-RCMH's acceptance test `x < math.pow(dCur.toDouble / dProp, alpha)`
+    * for line degrees dCur, dProp ≥ 1, with `dPow` the lazily filled table d^α.
+    *
+    * q = dCur^α / dProp^α from the table differs from that `pow` by a few
+    * ulps: `Math.pow` is within 1 ulp and semi-monotonic, and the quotients
+    * are correctly rounded. So x below q·(1 − 2⁻⁴⁰) or above q·(1 + 2⁻⁴⁰)
+    * is decided the same way by both, and only x inside that band computes
+    * the `pow`. For dCur ≥ dProp both accept every x < 1, since q ≥ 1.
+    */
+  private[baselines] def rcmhAccept(x: Double, dCur: Int, dProp: Int, alpha: Double,
+                                    dPow: Array[Double]): Boolean = {
+    val q = tabled(dPow, dCur, alpha) / tabled(dPow, dProp, alpha)
+    if (x < q * AcceptBelow) true
+    else if (x > q * RejectAbove) false
+    else x < math.pow(dCur.toDouble / dProp, alpha)
   }
 }

@@ -30,6 +30,10 @@ object Nrmse {
     LineGraphWalks.RCMH, LineGraphWalks.GMD,
   )
 
+  /** The EX variants in their `root.split()` order, each with its row. */
+  private val exRows: Array[(LineGraphWalks.Variant, Int)] =
+    LineGraphWalks.defaultVariants.map(v => v -> AllAlgorithms.indexOf(v.name)).toArray
+
   /** One full simulation in the cell layout over the nK `checkpoints`: NS and NE
     * fill rows 0–4, each EX variant row `AllAlgorithms.indexOf(v.name)`, each on
     * its own RNG stream split from `seed` (NS, NE, then `defaultVariants` in order).
@@ -41,11 +45,10 @@ object Nrmse {
     // split() gives statistically independent streams per algorithm family
     val ns = NeighborSample.run(g, t1, t2, checkpoints, burnInSteps, root.split())
     val ne = NeighborExploration.run(g, t1, t2, checkpoints, burnInSteps, root.split())
-    val out = ns ++ ne ++ new Array[Double](LineGraphWalks.defaultVariants.size * nK)
+    val out = ns ++ ne ++ new Array[Double](exRows.length * nK)
     require(out.length == AllAlgorithms.size * nK, s"${out.length} estimates for ${AllAlgorithms.size * nK} cells")
-    LineGraphWalks.defaultVariants.foreach(v => System.arraycopy(
-      LineGraphWalks.run(g, v, t1, t2, checkpoints, burnInSteps, root.split()), 0,
-      out, AllAlgorithms.indexOf(v.name) * nK, nK))
+    exRows.foreach { case (v, row) => System.arraycopy(
+      LineGraphWalks.run(g, v, t1, t2, checkpoints, burnInSteps, root.split()), 0, out, row * nK, nK) }
     out
   }
 

@@ -71,23 +71,42 @@ class LineGraphWalksSpec extends SparkSpec {
       "path" -> TestGraphs.path(6),
       "complete" -> TestGraphs.complete(6),
       "rare labels" -> TestGraphs.rareLabelGraph(40, 4, seed = 83),
+      // a hub with 30 leaves joined to a 30-edge path: line degrees 1..31, so
+      // the MD chains self-loop for long runs on the path and EX-RCMH
+      // rejects moves onto the hub's edges
+      "skewed" -> CsrGraph.fromEdges(61, (1 to 30).map(i => (0, i)) ++ (30 until 60).map(i => (i, i + 1)),
+        (0 until 61).map(u => u -> (u % 3 + 1))),
     )
     val variants = defaultVariants ++ Seq(ExRcmh(0.0), ExRcmh(1.0), ExGmd(1.0))
-    val checkpoints = Seq(1, 5, 40)
     for {
       (name, graph) <- graphs
       v <- variants
       (t1, t2) <- Seq((1, 2), (2, 3))
       burnIn <- Seq(0, 7)
+      checkpoints <- Seq(Seq(1, 5, 40), Seq(3, 100, 400))
       seed <- 1 to 50
     } {
       val got = LineGraphWalks.run(graph, v, t1, t2, checkpoints, burnIn, new SplittableRandom(seed))
       val want = LineGraphWalksReference.run(graph, v, t1, t2, checkpoints, burnIn, new SplittableRandom(seed))
-      val clue = s"$name ${v.name} ($t1,$t2) burnIn=$burnIn seed=$seed"
+      val clue = s"$name ${v.name} ($t1,$t2) burnIn=$burnIn checkpoints=$checkpoints seed=$seed"
       assert(want.map(r => (r._1, r._2)) == checkpoints.map(k => (v.name, k)), clue)
       // slot j is checkpoint j
       assert(got.toSeq.map(java.lang.Double.doubleToLongBits) ==
         want.map(r => java.lang.Double.doubleToLongBits(r._3)), clue)
+    }
+  }
+
+  test("the filtered EX-RCMH acceptance equals the direct pow test, also at its boundary") {
+    val rng = new SplittableRandom(17)
+    for (alpha <- Seq(0.0, 0.3, 0.5, 1.0)) {
+      val dPow = new Array[Double](301) // filled lazily, as in a chain
+      var mismatches = List.empty[String]
+      for (dProp <- 1 to 300; dCur <- 1 to 300) {
+        val p = math.pow(dCur.toDouble / dProp, alpha)
+        for (x <- Seq(Math.nextDown(p), p, Math.nextUp(p), rng.nextDouble(), rng.nextDouble() * p))
+          if (rcmhAccept(x, dCur, dProp, alpha, dPow) != (x < p)) mismatches ::= s"α=$alpha $dCur/$dProp x=$x"
+      }
+      assert(mismatches.isEmpty, mismatches.take(5).mkString("; "))
     }
   }
 
@@ -182,6 +201,17 @@ class LineGraphWalksSpec extends SparkSpec {
     val md = mean(ExMdrw, 11000)
     val gmd = mean(ExGmd(1.0), 12000)
     assert(math.abs(md - gmd) < 0.15 * f, s"md=$md gmd=$gmd")
+  }
+
+  test("EX-GMD(1) equals EX-MDRW on identical seeds, up to rounding") {
+    // C = max(1, D') = D': both chains make the same draws and visit the same
+    // states; GMD's constant weights 1/C sum to k/C only up to rounding
+    for (seed <- 1 to 200) {
+      val md = LineGraphWalks.run(g, ExMdrw, 1, 2, Seq(40, 120), 100, new SplittableRandom(seed))
+      val gmd = LineGraphWalks.run(g, ExGmd(1.0), 1, 2, Seq(40, 120), 100, new SplittableRandom(seed))
+      md.indices.foreach(j => assert(math.abs(md(j) - gmd(j)) <= 1e-12 * math.abs(md(j)),
+        s"seed=$seed slot=$j md=${md(j)} gmd=${gmd(j)}"))
+    }
   }
 
   test("EX-RCMH(0) reduces to EX-RW (same stationary law)") {
