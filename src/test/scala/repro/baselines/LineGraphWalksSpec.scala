@@ -71,9 +71,9 @@ class LineGraphWalksSpec extends SparkSpec {
       "path" -> TestGraphs.path(6),
       "complete" -> TestGraphs.complete(6),
       "rare labels" -> TestGraphs.rareLabelGraph(40, 4, seed = 83),
-      // a hub with 30 leaves joined to a 30-edge path: line degrees 1..31, so
-      // the MD chains self-loop for long runs on the path and EX-RCMH
-      // rejects moves onto the hub's edges
+      // a hub with 30 leaves, one of them the end of a 30-edge path: line
+      // degrees 1..30, so the MD chains self-loop for long runs on the path
+      // and EX-RCMH rejects moves onto the hub's edges
       "skewed" -> CsrGraph.fromEdges(61, (1 to 30).map(i => (0, i)) ++ (30 until 60).map(i => (i, i + 1)),
         (0 until 61).map(u => u -> (u % 3 + 1))),
     )
