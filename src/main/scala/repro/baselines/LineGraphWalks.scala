@@ -13,9 +13,9 @@ import repro.graph.CsrGraph
   * G'-degree is d'(u,v) = d(u)+d(v)-2. Five chains/estimators:
   *
   *  - EX-RW    simple walk on G'; re-weighted by 1/d'(e).
-  *  - EX-MHRW  Metropolis-Hastings to a uniform stationary; plain average.
+  *  - EX-MHRW  Metropolis-Hastings to a uniform stationary; unit weights.
   *  - EX-MDRW  maximum-degree chain (self-loops up to D' = max d');
-  *             uniform stationary; plain average over all steps.
+  *             uniform stationary; unit weights over all steps.
   *  - EX-RCMH  rejection-controlled MH with exponent α ∈ [0, 1] (the
   *             experiments use 0.3): accept min(1, (d'(e)/d'(f))^α);
   *             stationary ∝ d'(e)^(1-α); re-weighted by d'(e)^(α-1).
@@ -26,7 +26,9 @@ import repro.graph.CsrGraph
   *             δ ≥ 1 degenerates to the MD chain with cap C.
   *
   * Every chain step — including MH rejections and MD self-loops — consumes
-  * one unit of the sample budget, matching the paper's accounting.
+  * one unit of the sample budget, matching the paper's accounting. All five
+  * use the ratio [[repro.core.Estimators.reweighted]]: unit weights sum
+  * exactly, so the uniform chains get their plain average |E|·Σ I(eᵢ)/k.
   */
 object LineGraphWalks {
 
@@ -102,7 +104,6 @@ object LineGraphWalks {
       case ExGmd(delta)  => (KGmd, math.max(1.0, delta * dMax), 0.0)
     }
     val mdFamily = kind == KMdrw || kind == KGmd
-    val uniformStationary = kind == KMhrw || kind == KMdrw // plain average, else re-weighted
     // EX-RCMH tables d^α and d^(α-1), filled on first use (0.0 = not yet
     // computed; no entry is 0 for α ∈ [0, 1])
     val rcmhPow = if (kind == KRcmh) new Array[Double](g.maxLineDegree + 1) else null
@@ -121,8 +122,7 @@ object LineGraphWalks {
     var wt = weight(kind, dCur, cap, alpha, rcmhWeight)
 
     val out = new Array[Double](ks.length)
-    var hits = 0L          // Σ I(eᵢ) for uniform-stationary chains
-    var weightSum = 0.0    // Σ wᵢ for re-weighted chains
+    var weightSum = 0.0    // Σ wᵢ
     var weightedHits = 0.0 // Σ I(eᵢ)·wᵢ
     var next = 0           // slot of the next checkpoint, at step nextK
     var nextK = ks(0)
@@ -152,15 +152,9 @@ object LineGraphWalks {
         }
       }
       if (step >= 1) {
-        if (uniformStationary) {
-          if (isTarget) hits += 1
-        } else {
-          weightSum += wt; if (isTarget) weightedHits += wt
-        }
+        weightSum += wt; if (isTarget) weightedHits += wt
         if (step == nextK) { // strictly ascending: at most one checkpoint per step
-          out(next) =
-            if (uniformStationary) Estimators.uniformCount(nE, hits, step)
-            else Estimators.reweightedCount(nE, weightedHits, weightSum)
+          out(next) = Estimators.reweighted(nE, weightedHits, weightSum)
           next += 1
           nextK = if (next < ks.length) ks(next) else 0 // 0: none left
         }
@@ -172,15 +166,14 @@ object LineGraphWalks {
   }
 
   /** The estimator weight of a state with line degree d: 1/d (EX-RW),
-    * d^(α-1) (EX-RCMH), 1/max(d, C) (EX-GMD); unused by the plain-average
-    * chains.
+    * d^(α-1) (EX-RCMH), 1/max(d, C) (EX-GMD), 1 (EX-MHRW, EX-MDRW).
     */
   private def weight(kind: Int, d: Int, cap: Double, alpha: Double, rcmhWeight: Array[Double]): Double =
     kind match {
       case KRw   => 1.0 / d
       case KRcmh => tabled(rcmhWeight, d, alpha - 1.0)
       case KGmd  => 1.0 / math.max(d.toDouble, cap)
-      case _     => 0.0
+      case _     => 1.0
     }
 
   /** `table(d)` = d^exponent, computed on first use (0.0 marks an empty slot). */

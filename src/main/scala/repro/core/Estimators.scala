@@ -5,7 +5,12 @@ package repro.core
   * Keeping the formulas here (free of walk state) lets tests check each one
   * against hand-computed values and lets the walkers stay streaming: each
   * sampler maintains a handful of running sums and evaluates these closed
-  * forms at every checkpoint budget.
+  * forms at every checkpoint budget. The ten algorithms use three forms:
+  *
+  *  - Hansen-Hurwitz: NS-HH (Eq. 2) and NE-HH (Eq. 11).
+  *  - Horvitz-Thompson: NS-HT (Eq. 3) and NE-HT (Eq. 13).
+  *  - Re-weighted ratio: NE-RW (Eq. 19) and the five EX-* baselines; the
+  *    uniform chains EX-MHRW and EX-MDRW carry unit weights.
   */
 object Estimators {
 
@@ -15,21 +20,18 @@ object Estimators {
   def htInclusionProb(pi: Double, k: Int): Double =
     1.0 - math.pow(1.0 - pi, k.toDouble)
 
-  /** NeighborSample Hansen-Hurwitz (paper Eq. 2): F̂ = (|E|/k) Σ I(eᵢ). */
-  def nsHansenHurwitz(nE: Long, targetHits: Long, k: Int): Double =
-    nE.toDouble * targetHits / k
+  /** Hansen-Hurwitz: F̂ = (|E|/k) Σ yᵢ, with `sum` = Σ yᵢ over k samples.
+    * NeighborSample (Eq. 2) sums yᵢ = I(eᵢ); NeighborExploration (Eq. 11)
+    * sums yᵢ = T(uᵢ)/d(uᵢ), so F̂ = (1/k) Σ T(uᵢ)/(2π(uᵢ)).
+    */
+  def hansenHurwitz(population: Long, sum: Double, k: Int): Double =
+    population.toDouble * sum / k
 
   /** NeighborSample Horvitz-Thompson (paper Eq. 3):
     * F̂ = (#distinct target edges in S) / (1-(1-1/|E|)^k).
     */
   def nsHorvitzThompson(nE: Long, distinctTargetEdges: Int, k: Int): Double =
     distinctTargetEdges / htInclusionProb(1.0 / nE, k)
-
-  /** NeighborExploration Hansen-Hurwitz (paper Eq. 11):
-    * F̂ = (|E|/k) Σ T(uᵢ)/d(uᵢ)  — equals (1/k) Σ T(uᵢ)/(2π(uᵢ)).
-    */
-  def neHansenHurwitz(nE: Long, sumTOverD: Double, k: Int): Double =
-    nE.toDouble * sumTOverD / k
 
   /** NeighborExploration Horvitz-Thompson (paper Eq. 13):
     * F̂ = ½ Σ_{distinct u∈S} T(u) / (1-(1-d(u)/2|E|)^k).
@@ -43,22 +45,11 @@ object Estimators {
     s / 2.0
   }
 
-  /** NeighborExploration Re-weighted (paper Eq. 19):
-    * F̂ = |V| · (Σ T(uᵢ)/d(uᵢ)) / (2 Σ 1/d(uᵢ)).
+  /** Re-weighted ratio: F̂ = population · (Σ yᵢ·wᵢ) / (Σ wᵢ), wᵢ the inverse
+    * stationary weight of the i-th sample. NeighborExploration (Eq. 19)
+    * passes |V|, Σ T(uᵢ)/d(uᵢ) and 2 Σ 1/d(uᵢ); the EX-* baselines pass
+    * |E(G)| (the node count of the line graph), Σ I(eᵢ)·wᵢ and Σ wᵢ.
     */
-  def neReweighted(nV: Long, sumTOverD: Double, sumInvD: Double): Double =
-    nV * sumTOverD / (2.0 * sumInvD)
-
-  /** Generic re-weighted count estimator for the EX-* baselines on the line
-    * graph: F̂ = |H| · (Σ I(eᵢ)·wᵢ) / (Σ wᵢ) with |H| = |E(G)| and wᵢ the
-    * inverse stationary weight of the i-th visited G'-node.
-    */
-  def reweightedCount(population: Long, weightedHits: Double, weightSum: Double): Double =
-    if (weightSum == 0.0) 0.0 else population * weightedHits / weightSum
-
-  /** Uniform-stationary count estimator (EX-MHRW / EX-MDRW):
-    * F̂ = |H| · (Σ I(eᵢ)) / k.
-    */
-  def uniformCount(population: Long, hits: Long, k: Int): Double =
-    population.toDouble * hits / k
+  def reweighted(population: Long, weightedSum: Double, weightSum: Double): Double =
+    population * weightedSum / weightSum
 }

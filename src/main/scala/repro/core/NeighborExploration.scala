@@ -70,9 +70,9 @@ object NeighborExploration {
         }
       }
       while (next < nK && ks(next) <= apiCalls) {
-        out(next) = Estimators.neHansenHurwitz(nE, sumTOverD, samples)
+        out(next) = Estimators.hansenHurwitz(nE, sumTOverD, samples)
         out(nK + next) = Estimators.neHorvitzThompson(nE, distinct.values, samples)
-        out(2 * nK + next) = Estimators.neReweighted(nV, sumTOverD, sumInvD)
+        out(2 * nK + next) = Estimators.reweighted(nV, sumTOverD, 2.0 * sumInvD)
         next += 1
       }
     }

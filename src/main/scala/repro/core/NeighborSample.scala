@@ -44,7 +44,7 @@ object NeighborSample {
       }
       u = v
       while (next < nK && ks(next) == i) {
-        out(next) = Estimators.nsHansenHurwitz(nE, targetHits, i)
+        out(next) = Estimators.hansenHurwitz(nE, targetHits.toDouble, i)
         out(nK + next) = Estimators.nsHorvitzThompson(nE, distinctTargets.size, i)
         next += 1
       }

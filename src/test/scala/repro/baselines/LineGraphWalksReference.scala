@@ -4,14 +4,16 @@ import java.util.SplittableRandom
 
 import scala.collection.mutable
 
-import repro.core.{Estimators, Walks}
+import repro.core.Walks
 import repro.graph.{CsrGraph, LineGraph}
 
 /** Reference implementation of the EX-* chains, kept as a test oracle for
   * the primitive-state kernel [[LineGraphWalks.run]]: a tuple-valued
   * per-step `transition` that matches on the variant, and a tuple-returning
   * uniform line-neighbour draw. The kernel must consume the same random
-  * draws in the same order and return the same estimates, bit for bit.
+  * draws in the same order and return the same estimates, bit for bit. The
+  * estimates are written out here: the plain average |E|·hits/k for the
+  * uniform chains, the ratio |E|·Σ I(eᵢ)·wᵢ / Σ wᵢ for the others.
   */
 object LineGraphWalksReference {
   import LineGraphWalks._
@@ -108,8 +110,8 @@ object LineGraphWalksReference {
       while (next < checkpoints.length && checkpoints(next) == step) {
         val k = checkpoints(next)
         val est = variant match {
-          case ExMhrw | ExMdrw      => Estimators.uniformCount(nE, hits, k)
-          case _                    => Estimators.reweightedCount(nE, weightedHits, weightSum)
+          case ExMhrw | ExMdrw      => nE.toDouble * hits / k
+          case _                    => nE * weightedHits / weightSum
         }
         out += ((variant.name, k, est))
         next += 1

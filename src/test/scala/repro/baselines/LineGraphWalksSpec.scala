@@ -214,6 +214,32 @@ class LineGraphWalksSpec extends SparkSpec {
     }
   }
 
+  test("EX-MHRW and EX-MDRW estimates are exact multiples of |E|/k") {
+    // unit weights: the ratio estimate is |E|·hits/k for an integer 0 ≤ hits ≤ k
+    val checkpoints = Seq(1, 7, 80, 333)
+    for (v <- Seq(ExMhrw, ExMdrw); seed <- 1 to 50) {
+      val out = LineGraphWalks.run(g, v, 1, 2, checkpoints, 50, new SplittableRandom(seed))
+      checkpoints.zipWithIndex.foreach { case (k, j) =>
+        val hits = math.round(out(j) * k / g.numEdges)
+        assert(hits >= 0 && hits <= k && out(j) == g.numEdges.toDouble * hits / k,
+          s"${v.name} seed=$seed k=$k estimate=${out(j)}")
+      }
+    }
+  }
+
+  test("EX-RCMH(1) equals EX-MHRW on identical seeds, bit for bit") {
+    // α = 1: the acceptance test is x < d'(e)/d'(f), the MH test, and every
+    // weight is d'^0 = 1, the MH chain's unit weight
+    val graphs = Seq("random" -> g, "star" -> TestGraphs.star(7),
+                     "rare labels" -> TestGraphs.rareLabelGraph(40, 4, seed = 83))
+    for ((name, graph) <- graphs; seed <- 1 to 100) {
+      val mh = LineGraphWalks.run(graph, ExMhrw, 1, 2, Seq(1, 40, 300), 20, new SplittableRandom(seed))
+      val rc = LineGraphWalks.run(graph, ExRcmh(1.0), 1, 2, Seq(1, 40, 300), 20, new SplittableRandom(seed))
+      assert(rc.toSeq.map(java.lang.Double.doubleToLongBits) == mh.toSeq.map(java.lang.Double.doubleToLongBits),
+        s"$name seed=$seed mh=${mh.toSeq} rcmh=${rc.toSeq}")
+    }
+  }
+
   test("EX-RCMH(0) reduces to EX-RW (same stationary law)") {
     val sims = 300
     def mean(v: Variant, base: Int): Double = (1 to sims).map { s =>

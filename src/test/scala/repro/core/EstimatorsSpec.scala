@@ -27,9 +27,9 @@ class EstimatorsSpec extends SparkSpec {
     }
   }
 
-  test("nsHansenHurwitz: |E|·hits/k") {
-    assert(Estimators.nsHansenHurwitz(10, 3, 5) == 6.0)
-    assert(Estimators.nsHansenHurwitz(100, 0, 7) == 0.0)
+  test("hansenHurwitz for NS-HH: |E|·hits/k") {
+    assert(Estimators.hansenHurwitz(10, 3.0, 5) == 6.0)
+    assert(Estimators.hansenHurwitz(100, 0.0, 7) == 0.0)
   }
 
   test("nsHorvitzThompson: distinct/(1-(1-1/|E|)^k)") {
@@ -43,8 +43,8 @@ class EstimatorsSpec extends SparkSpec {
     assert(math.abs(Estimators.nsHorvitzThompson(100, 17, 1000000) - 17.0) < 1e-6)
   }
 
-  test("neHansenHurwitz: |E|·sum/k") {
-    assert(Estimators.neHansenHurwitz(20, 1.5, 3) == 10.0)
+  test("hansenHurwitz for NE-HH: |E|·sum/k") {
+    assert(Estimators.hansenHurwitz(20, 1.5, 3) == 10.0)
   }
 
   test("neHorvitzThompson: hand-computed two-node case") {
@@ -56,25 +56,39 @@ class EstimatorsSpec extends SparkSpec {
     assert(math.abs(Estimators.neHorvitzThompson(nE, sampled, k) - expected) < 1e-9)
   }
 
-  test("neReweighted: |V|·sumT/(2·sumInv)") {
-    assert(Estimators.neReweighted(100, 0.5, 5.0) == 5.0)
+  test("reweighted for NE-RW: |V|·sumT/(2·sumInv)") {
+    assert(Estimators.reweighted(100, 0.5, 2.0 * 5.0) == 5.0)
   }
 
-  test("reweightedCount: population·hits/weights, 0-safe") {
-    assert(Estimators.reweightedCount(200, 1.0, 4.0) == 50.0)
-    assert(Estimators.reweightedCount(200, 0.0, 0.0) == 0.0)
+  test("reweighted for the EX chains: population·weighted hits/weights") {
+    assert(Estimators.reweighted(200, 1.0, 4.0) == 50.0)
   }
 
-  test("uniformCount: population·hits/k") {
-    assert(Estimators.uniformCount(100, 25, 50) == 50.0)
+  test("reweighted with unit weights: population·hits/k") {
+    assert(Estimators.reweighted(100, 25.0, 50.0) == 50.0)
+  }
+
+  test("reweighted with unit weights is bit-equal to the plain average |E|·hits/k") {
+    // sums of 1.0 are exact integers below 2^53, so the uniform EX chains'
+    // ratio is their plain average, bit for bit
+    val gen = for {
+      k <- Gen.choose(1, 1000000)
+      hits <- Gen.choose(0, k)
+      population <- Gen.choose(1L, 100000000L)
+    } yield (population, hits, k)
+    for ((population, hits, k) <- samples(gen, 2000, 3)) {
+      val want = population.toDouble * hits / k
+      assert(java.lang.Double.doubleToRawLongBits(Estimators.reweighted(population, hits.toDouble, k.toDouble)) ==
+             java.lang.Double.doubleToRawLongBits(want), s"p=$population hits=$hits k=$k")
+    }
   }
 
   test("estimators are homogeneous in the population size") {
     for (scale <- samples(Gen.choose(1L, 1000L), 40, 2)) {
-      assert(Estimators.nsHansenHurwitz(scale * 10, 3, 5) ==
-             scale * Estimators.nsHansenHurwitz(10, 3, 5))
-      assert(Estimators.uniformCount(scale * 10, 3, 5) ==
-             scale * Estimators.uniformCount(10, 3, 5))
+      assert(Estimators.hansenHurwitz(scale * 10, 3.0, 5) ==
+             scale * Estimators.hansenHurwitz(10, 3.0, 5))
+      assert(Estimators.reweighted(scale * 10, 3.0, 5.0) ==
+             scale * Estimators.reweighted(10, 3.0, 5.0))
     }
   }
 
@@ -83,7 +97,7 @@ class EstimatorsSpec extends SparkSpec {
     val g = repro.TestGraphs.connectedRandom(15, 25, seed = 61)
     val f = repro.TestGraphs.bruteForceF(g, 1, 2)
     val mean = repro.TestGraphs.edgeList(g).map { case (u, v) =>
-      Estimators.nsHansenHurwitz(g.numEdges, if (g.isTargetEdge(u, v, 1, 2)) 1 else 0, 1)
+      Estimators.hansenHurwitz(g.numEdges, if (g.isTargetEdge(u, v, 1, 2)) 1.0 else 0.0, 1)
     }.sum / g.numEdges
     assert(math.abs(mean - f) < 1e-9)
   }
@@ -94,7 +108,7 @@ class EstimatorsSpec extends SparkSpec {
     val f = repro.TestGraphs.bruteForceF(g, 1, 2)
     val mean = (0 until g.numNodes).map { u =>
       val pi = g.degree(u) / (2.0 * g.numEdges)
-      pi * Estimators.neHansenHurwitz(g.numEdges, g.targetEdgesAt(u, 1, 2).toDouble / g.degree(u), 1)
+      pi * Estimators.hansenHurwitz(g.numEdges, g.targetEdgesAt(u, 1, 2).toDouble / g.degree(u), 1)
     }.sum
     assert(math.abs(mean - f) < 1e-9)
   }

@@ -2,6 +2,8 @@ package repro.core
 
 import java.util.SplittableRandom
 
+import scala.collection.mutable
+
 import repro.{SparkSpec, TestGraphs}
 
 class NeighborExplorationSpec extends SparkSpec {
@@ -108,6 +110,59 @@ class NeighborExplorationSpec extends SparkSpec {
     val star = TestGraphs.star(12)
     val rows = NeighborExploration.run(star, 1, 2, Seq(2), 30, new SplittableRandom(3))
     assert(rows.length == 3) // a single high-cost sample still serves the checkpoint
+  }
+
+  test("run equals a HashMap-based reference bit for bit") {
+    // every node carries label 1 or 2, so every sample is explored and
+    // single explorations cross several of the consecutive budgets 1..30
+    val big = TestGraphs.connectedRandom(2000, 6000, seed = 74, nLabels = 2)
+    val nE = big.numEdges
+    def reference(seed: Long, checkpoints: Seq[Int]): (Seq[Double], Int) = {
+      val rng = new SplittableRandom(seed)
+      val hh, ht, rw = mutable.ArrayBuffer.empty[Double]
+      var u = Walks.burnIn(big, Walks.uniformStart(big, rng), 30, rng)
+      var apiCalls = 0L
+      var samples = 0
+      var sumTOverD = 0.0
+      var sumInvD = 0.0
+      val distinct = mutable.HashMap.empty[Int, (Int, Int)] // node -> (T(u), d(u)), T > 0
+      var sharedCrossings = 0 // checkpoints crossed by the iteration that crossed the one before
+      var next = 0
+      while (next < checkpoints.length) {
+        u = Walks.step(big, u, rng)
+        apiCalls += 1
+        samples += 1
+        val d = big.degree(u)
+        sumInvD += 1.0 / d
+        if (big.label(u) == 1 || big.label(u) == 2) {
+          apiCalls += d
+          val t = big.targetEdgesAt(u, 1, 2)
+          if (t > 0) { sumTOverD += t.toDouble / d; distinct.update(u, (t, d)) }
+        }
+        val first = next
+        while (next < checkpoints.length && checkpoints(next) <= apiCalls) {
+          hh += nE.toDouble * sumTOverD / samples // Eq. 11
+          var s = 0.0
+          distinct.values.foreach { case (t, dU) =>
+            s += t / (1.0 - math.pow(1.0 - dU / (2.0 * nE), samples.toDouble))
+          }
+          ht += s / 2.0 // Eq. 13
+          rw += big.numNodes.toLong * sumTOverD / (2.0 * sumInvD) // Eq. 19
+          next += 1
+        }
+        sharedCrossings += math.max(0, next - first - 1)
+      }
+      ((hh ++ ht ++ rw).toSeq, sharedCrossings)
+    }
+    val checkpoints = (1 to 30) ++ Seq(1000, 1001, 1003, 20000, 50000)
+    (1 to 8).foreach { seed =>
+      val got = NeighborExploration.run(big, 1, 2, checkpoints, 30, new SplittableRandom(seed))
+      val (want, sharedCrossings) = reference(seed, checkpoints)
+      assert(sharedCrossings > 0, s"seed $seed: no exploration crossed two checkpoints")
+      assert(got.toSeq.map(java.lang.Double.doubleToLongBits) ==
+        want.map(java.lang.Double.doubleToLongBits), s"seed $seed")
+      assert(got.last > 0.0, s"seed $seed")
+    }
   }
 
   test("NE beats NS on rare labels (the paper's central claim, small scale)") {

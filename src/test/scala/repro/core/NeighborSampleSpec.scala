@@ -136,8 +136,9 @@ class NeighborSampleSpec extends SparkSpec {
         if (big.isTargetEdge(u, v, 1, 2)) { hits += 1; distinct += CsrGraph.edgeKey(u, v) }
         u = v
         checkpoints.filter(_ == i).foreach { k =>
-          out += ((NeighborSample.HH, k, Estimators.nsHansenHurwitz(big.numEdges, hits, k)))
-          out += ((NeighborSample.HT, k, Estimators.nsHorvitzThompson(big.numEdges, distinct.size, k)))
+          // Eqs. 2 and 3, written out
+          out += ((NeighborSample.HH, k, big.numEdges.toDouble * hits / k))
+          out += ((NeighborSample.HT, k, distinct.size / (1.0 - math.pow(1.0 - 1.0 / big.numEdges, k.toDouble))))
         }
       }
       out.toSeq
