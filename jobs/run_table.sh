@@ -12,7 +12,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 sbt -batch package
-JAR=$(ls target/scala-2.13/repro_*.jar | head -1)
+JAR=$(ls target/scala-2.13/repro_*.jar | grep -v -- -tests.jar | head -1)
 exec /opt/spark/bin/spark-submit \
   --master "${SPARK_MASTER:-local[*]}" \
   --driver-memory "${SPARK_DRIVER_MEM:-8g}" \

@@ -6,12 +6,15 @@ import org.apache.spark.sql.types._
 
 import repro.graph.CsrGraph
 
-/** Exact quantities the experiments are measured against.
+/** Exact quantities the experiments are measured against, in the
+  * experimenter's full view of the graph rather than the restricted API.
   *
-  * Everything here is bulk dataflow over the full graph (the experimenter's
-  * view, not the restricted-API view): the target-edge count F, per-node
-  * incident target counts T(u), and label-pair frequency tables used to pick
-  * the paper's quartile target labels. All are Oracle-checked in tests.
+  * T(u), the per-node incident target counts, and F = Σ_u T(u) / 2 are read
+  * off the CSR graph with the walkers' own target test
+  * ([[CsrGraph.targetEdgesAt]]); the DataFrame entry points collect their
+  * input into a CSR graph first. The label-pair frequency table that the
+  * paper's quartile target labels are picked from is a Spark aggregation.
+  * All are checked against DuckDB in tests.
   */
 object GroundTruth {
 
@@ -22,26 +25,18 @@ object GroundTruth {
       .join(labels.withColumnRenamed("node", "dst").withColumnRenamed("label", "ldst"), Seq("dst"))
   }
 
-  /** The target edges for labels (t1, t2), as labeled edges. */
-  private def targetEdges(edges: DataFrame, labels: DataFrame, t1: Int, t2: Int): DataFrame =
-    labeledEdges(edges, labels)
-      .where((col("lsrc") === t1 && col("ldst") === t2) ||
-             (col("lsrc") === t2 && col("ldst") === t1))
-
   /** F: the exact number of target edges for labels (t1, t2). */
   def targetEdgeCount(edges: DataFrame, labels: DataFrame, t1: Int, t2: Int): Long =
-    targetEdges(edges, labels, t1, t2).count()
+    targetEdgeCountLocal(CsrGraph.fromDataFrames(edges, labels), t1, t2)
 
   /** T(u) for every node: the number of target edges incident to u.
     * Σ_u T(u) = 2F. Returns (node, t) including t = 0 rows.
     */
   def incidentTargetCounts(edges: DataFrame, labels: DataFrame, t1: Int, t2: Int): DataFrame = {
-    val hits = targetEdges(edges, labels, t1, t2)
-    val perEndpoint = hits.select(col("src") as "node")
-      .union(hits.select(col("dst") as "node"))
-      .groupBy("node").agg(count(lit(1)).cast(LongType) as "t")
-    labels.select("node").join(perEndpoint, Seq("node"), "left")
-      .select(col("node"), coalesce(col("t"), lit(0L)) as "t")
+    val t = incidentTargets(CsrGraph.fromDataFrames(edges, labels), t1, t2)
+    val spark = edges.sparkSession
+    import spark.implicits._
+    t.indices.map(u => (u.toLong, t(u).toLong)).toDF("node", "t")
   }
 
   /** Count of edges per unordered label pair: (l1, l2, cnt) with l1 <= l2.
@@ -57,13 +52,11 @@ object GroundTruth {
       .groupBy("l1", "l2").agg(count(lit(1)).cast(LongType) as "cnt")
   }
 
-  /** Exact F = Σ_u T(u) / 2 computed locally from the CSR graph — the
-    * cross-check used by the walk-side code and tests (must equal [[targetEdgeCount]]).
-    */
-  def targetEdgeCountLocal(g: CsrGraph, t1: Int, t2: Int): Long = {
-    var sum = 0L
-    var u = 0
-    while (u < g.numNodes) { sum += g.targetEdgesAt(u, t1, t2); u += 1 }
-    sum / 2
-  }
+  /** T(u) of every node of `g`, indexed by node id. */
+  def incidentTargets(g: CsrGraph, t1: Int, t2: Int): Array[Int] =
+    Array.tabulate(g.numNodes)(g.targetEdgesAt(_, t1, t2))
+
+  /** F = Σ_u T(u) / 2 on the CSR graph. */
+  def targetEdgeCountLocal(g: CsrGraph, t1: Int, t2: Int): Long =
+    incidentTargets(g, t1, t2).foldLeft(0L)(_ + _) / 2
 }

@@ -2,7 +2,7 @@ package repro.exp
 
 import org.apache.spark.sql.SparkSession
 
-import repro.core.{Bounds, Nrmse}
+import repro.core.{Bounds, GroundTruth, Nrmse}
 
 /** Paper-style table production: runs the NRMSE grids and bounds for a
   * dataset and renders them in the layout of Tables 1 and 4–26. The bench
@@ -58,7 +58,7 @@ object Tables {
                 pair: Datasets.LabelPair): Bounds.SampleBounds = {
     val g = built.g
     Bounds.fromCounts(Array.tabulate(g.numNodes)(g.degree),
-                      Array.tabulate(g.numNodes)(g.targetEdgesAt(_, pair.t1, pair.t2)),
+                      GroundTruth.incidentTargets(g, pair.t1, pair.t2),
                       built.nV, built.nE, pair.f, eps = 0.1, delta = 0.1)
   }
 

@@ -14,9 +14,11 @@ import repro.exp.{Datasets, Tables}
   */
 object RunTables {
 
-  /** The Spark settings every table runs under; the test suites share them. */
+  /** The Spark settings every table runs under; the test suites share them.
+    * The master is the one `spark-submit --master` set, else `local[*]`.
+    */
   private[repro] def session(): SparkSession = SparkSession.builder()
-    .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+    .master(sys.props.getOrElse("spark.master", "local[*]"))
     .appName("repro-tables")
     .config("spark.sql.shuffle.partitions", "64")
     .config("spark.sql.autoBroadcastJoinThreshold", -1)

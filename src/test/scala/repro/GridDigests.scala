@@ -17,7 +17,9 @@ import repro.jobs.RunTables
   * session, then prints one SHA-256 per dataset (CSR offsets, neighbors and
   * labels, burn-in, label pairs with F) and one per grid (the raw bits of
   * every cell of `Tables.nrmseTable` at seedBase 42, in `Nrmse.AllAlgorithms`
-  * × checkpoint order). The argument is the simulation count (default 200).
+  * × checkpoint order). It also prints each pair's `Tables.boundsRow` as five
+  * `%.17g` values, so that a change to the bounds can be diffed too. The
+  * argument is the simulation count (default 200).
   */
 object GridDigests {
 
@@ -39,6 +41,9 @@ object GridDigests {
             for (alg <- Nrmse.AllAlgorithms; k <- table.checkpoints)
               out.writeLong(java.lang.Double.doubleToRawLongBits(table.results(alg)(k)))
           })
+          val b = Tables.boundsRow(spark, built, pair)
+          println(s"bounds ${spec.name} (${pair.t1},${pair.t2}) " +
+                  Seq(b.nsHH, b.nsHT, b.neHH, b.neHT, b.neRW).map("%.17g".format(_)).mkString(" "))
         }
       }
     } finally spark.stop()

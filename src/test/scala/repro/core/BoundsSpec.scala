@@ -18,17 +18,24 @@ class BoundsSpec extends SparkSpec {
       .select(col("node"), col("degree"), col("t"))
   }
 
+  /** fromCounts over the fixture's d(u) and T(u) for (1,2), with |E| and F
+    * as given; the NeighborSample bounds read only |E| and F.
+    */
+  private def fixtureBounds(nE: Long, f: Long): Bounds.SampleBounds =
+    Bounds.fromCounts(Array.tabulate(g.numNodes)(g.degree), GroundTruth.incidentTargets(g, 1, 2),
+                      g.numNodes, nE, f, 0.1, 0.1)
+
   test("Theorem 4.1 closed form: (|E|F - F^2)/(eps^2 F^2 delta)") {
     val nE = g.numEdges
     val expected = (nE.toDouble * f - f.toDouble * f) / (0.01 * f.toDouble * f * 0.1)
-    assert(math.abs(Bounds.nsHansenHurwitz(nE, f, 0.1, 0.1) - expected) < 1e-6)
+    assert(math.abs(fixtureBounds(nE, f).nsHH - expected) < 1e-6)
   }
 
   test("Theorem 4.2 closed form matches a direct evaluation") {
     val nE = g.numEdges
     val b = 0.1 * 0.01 * f.toDouble * f / nE
     val expected = math.log((1 + b) / b) / math.log(1.0 / (1.0 - 1.0 / nE))
-    assert(math.abs(Bounds.nsHorvitzThompson(nE, f, 0.1, 0.1) - expected) < 1e-6)
+    assert(math.abs(fixtureBounds(nE, f).nsHT - expected) < 1e-6)
   }
 
   test("Theorem 4.3 DataFrame aggregation matches local computation") {
@@ -66,6 +73,41 @@ class BoundsSpec extends SparkSpec {
     assert(math.abs(got - math.max(kT, kZ)) < math.abs(got) * 1e-9 + 1e-9)
   }
 
+  test("fromCounts' variances equal the exact per-sample variances (enumeration)") {
+    // labels alternate along the path backbone, so (1,2) edges are abundant
+    // and NE-RW's max is its 1/π(u) term; for the rarer (2,2) it is T(u)/π(u)
+    val small = TestGraphs.connectedRandom(12, 14, seed = 7, nLabels = 2)
+    val nV = small.numNodes; val nE = small.numEdges
+    val degree = Array.tabulate(nV)(small.degree)
+    val pi = degree.map(_ / (2.0 * nE))
+    // Σ p·(x − mean)² over a finite law, its mean enumerated too
+    def variance(law: Seq[(Double, Double)]): Double = {
+      val mean = law.map { case (p, x) => p * x }.sum
+      law.map { case (p, x) => p * (x - mean) * (x - mean) }.sum
+    }
+    def close(got: Double, want: Double, what: String): Unit =
+      assert(math.abs(got - want) <= 1e-9 * math.abs(want), s"$what: $got vs $want")
+    val e2d = 0.1 * 0.1 * 0.1
+    val rwTerms = for ((t1, t2) <- Seq((1, 2), (2, 2))) yield {
+      val f = TestGraphs.bruteForceF(small, t1, t2)
+      assert(f > 0, s"($t1,$t2) needs target edges")
+      val t = Array.tabulate(nV)(small.targetEdgesAt(_, t1, t2))
+      // |E|·I(e), e uniform over E
+      val varNs = variance(TestGraphs.edgeList(small).map { case (u, v) =>
+        (1.0 / nE, if (small.isTargetEdge(u, v, t1, t2)) nE.toDouble else 0.0) })
+      // T(u)/π(u) and 1/π(u), u ~ π
+      val varT = variance((0 until nV).map(u => (pi(u), t(u) / pi(u))))
+      val varZ = variance((0 until nV).map(u => (pi(u), 1.0 / pi(u))))
+      val b = Bounds.fromCounts(degree, t, nV, nE, f, 0.1, 0.1)
+      close(b.nsHH * e2d * f * f, varNs, s"($t1,$t2) NS-HH variance")
+      close(b.neHH * e2d * (2.0 * f) * (2.0 * f), varT, s"($t1,$t2) NE-HH variance")
+      val (kT, kZ) = (varT / (e2d * 4.0 * f * f), varZ / (e2d * nV * nV))
+      close(b.neRW, 18.0 * math.max(kT, kZ), s"($t1,$t2) NE-RW")
+      kT > kZ
+    }
+    assert(rwTerms == Seq(false, true), "each of NE-RW's two terms must decide one pair")
+  }
+
   test("all five bounds are positive and finite on a real fixture") {
     val b = Bounds.all(incidentDf, g.numNodes, g.numEdges, f)
     Seq(b.nsHH, b.nsHT, b.neHH, b.neHT, b.neRW).foreach { v =>
@@ -91,8 +133,7 @@ class BoundsSpec extends SparkSpec {
 
   test("NS-HH bound shrinks as F grows (easier problems need fewer samples)") {
     val nE = 1000L
-    assert(Bounds.nsHansenHurwitz(nE, 500, 0.1, 0.1) <
-           Bounds.nsHansenHurwitz(nE, 10, 0.1, 0.1))
+    assert(fixtureBounds(nE, 500).nsHH < fixtureBounds(nE, 10).nsHH)
   }
 
   test("star-graph NE bounds: exploration of the hub nails F quickly") {

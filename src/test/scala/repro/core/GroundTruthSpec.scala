@@ -81,6 +81,26 @@ class GroundTruthSpec extends SparkSpec {
     }
   }
 
+  test("incidentTargetCounts agrees with the DuckDB oracle") {
+    for ((t1, t2) <- Seq((1, 2), (2, 2))) {
+      Oracle.assertEquivalent(
+        GroundTruth.incidentTargetCounts(edges, labels, t1, t2),
+        s"""WITH hits AS (
+           |  SELECT e.src, e.dst
+           |  FROM edges e
+           |  JOIN labels a ON e.src = a.node
+           |  JOIN labels b ON e.dst = b.node
+           |  WHERE (a.label = '$t1' AND b.label = '$t2')
+           |     OR (a.label = '$t2' AND b.label = '$t1'))
+           |SELECT l.node AS node, COUNT(h.node) AS t
+           |FROM labels l
+           |LEFT JOIN (SELECT src AS node FROM hits UNION ALL SELECT dst AS node FROM hits) h
+           |  ON l.node = h.node
+           |GROUP BY l.node""".stripMargin,
+        "edges" -> edges, "labels" -> labels)
+    }
+  }
+
   test("labelPairCounts covers all edges exactly once") {
     val total = GroundTruth.labelPairCounts(edges, labels).agg(sum("cnt")).head().getLong(0)
     assert(total == g.numEdges)
