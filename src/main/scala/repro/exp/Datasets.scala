@@ -1,7 +1,6 @@
 package repro.exp
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 
 import repro.core.{GroundTruth, MixingTime}
 import repro.graph.{CsrGraph, GraphOps, SocialGraphGen}
@@ -86,17 +85,16 @@ object Datasets {
   val all: Seq[Spec] = Seq(facebook, gplus, pokec, orkut, livejournal)
 
   /** §5.2 quartile selection: among pairs with distinct labels and count ≥
-    * `minCount`, order ascending by count, split into `nPairs` equal parts,
-    * take each part's median pair. Deterministic (median, not random draw).
+    * `minCount`, order ascending by count, ties ascending by (l1, l2), split
+    * into `nPairs` equal parts, take each part's median pair. Deterministic
+    * (median, not random draw) and independent of the order of `pairCounts`,
+    * the (l1, l2, cnt) rows of [[GroundTruth.labelPairCounts]].
     */
-  def quartilePairs(pairCounts: DataFrame, nPairs: Int, minCount: Long): Seq[LabelPair] = {
+  def quartilePairs(pairCounts: Seq[(Int, Int, Long)], nPairs: Int, minCount: Long): Seq[LabelPair] = {
     require(nPairs >= 1, s"nPairs must be at least 1, got $nPairs")
     val sorted = pairCounts
-      .where(col("l1") =!= col("l2") && col("cnt") >= minCount)
-      .orderBy(asc("cnt"), asc("l1"), asc("l2"))
-      .collect()
-      .map(r => LabelPair(r.getAs[Number]("l1").intValue, r.getAs[Number]("l2").intValue,
-                          r.getAs[Long]("cnt")))
+      .collect { case (l1, l2, cnt) if l1 != l2 && cnt >= minCount => LabelPair(l1, l2, cnt) }
+      .sortBy(p => (p.f, p.t1, p.t2)).toIndexedSeq
     require(sorted.length >= nPairs, s"only ${sorted.length} eligible label pairs")
     val per = sorted.length / nPairs
     (0 until nPairs).map { q =>
@@ -107,8 +105,8 @@ object Datasets {
   }
 
   /** Build the dataset for `spec`. A pure function of `spec`: nothing stays
-    * cached once the CSR graph and the label pairs are computed, so callers
-    * hold the `Built`s they reuse.
+    * cached once the CSR graph is collected, even if a later step fails, so
+    * callers hold the `Built`s they reuse.
     */
   def build(spark: SparkSession, spec: Spec): Built = {
     val raw = SocialGraphGen.edges(spark, spec.n, spec.candidateEdges, spec.seed)
@@ -126,11 +124,10 @@ object Datasets {
         SocialGraphGen.degreeLabels(degrees) // degrees are already post-remap
     }).cache()
 
-    val g = CsrGraph.fromDataFrames(edges, labels)
+    val g = try CsrGraph.fromDataFrames(edges, labels)
+            finally { edges.unpersist(); labels.unpersist() }
     val burnIn = MixingTime.estimate(g, eps = 1e-3, extraStarts = 2, maxSteps = 1000)
-    val pairs = quartilePairs(GroundTruth.labelPairCounts(edges, labels), spec.nPairs,
-                              spec.minPairCount)
-    edges.unpersist(); labels.unpersist()
+    val pairs = quartilePairs(GroundTruth.labelPairCounts(g), spec.nPairs, spec.minPairCount)
     Built(spec.name, g, edges, labels, degrees, burnIn, pairs)
   }
 }

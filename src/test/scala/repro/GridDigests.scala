@@ -3,7 +3,7 @@ package repro
 import java.io.{BufferedOutputStream, DataOutputStream, OutputStream}
 import java.security.{DigestOutputStream, MessageDigest}
 
-import repro.core.Nrmse
+import repro.core.{GroundTruth, Nrmse}
 import repro.exp.{Datasets, Tables, TinySpecs}
 import repro.jobs.RunTables
 
@@ -14,12 +14,15 @@ import repro.jobs.RunTables
   *     sbt "Test/runMain repro.GridDigests 200"
   *
   * Builds the `TinySpecs` datasets and pokec-lite with the `RunTables`
-  * session, then prints one SHA-256 per dataset (CSR offsets, neighbors and
-  * labels, burn-in, label pairs with F) and one per grid (the raw bits of
-  * every cell of `Tables.nrmseTable` at seedBase 42, in `Nrmse.AllAlgorithms`
-  * × checkpoint order). It also prints each pair's `Tables.boundsRow` as five
-  * `%.17g` values, so that a change to the bounds can be diffed too. The
-  * argument is the simulation count (default 200).
+  * session, then prints two SHA-256s per dataset and one per grid. The
+  * `dataset` line covers the CSR offsets, neighbors and labels, the burn-in
+  * and the label pairs with F. The `pairs` line covers the full label-pair
+  * table, its (l1, l2, cnt) rows in ascending order, so that a counting
+  * change that keeps the same picks still shows. The `grid` line covers the
+  * raw bits of every cell of `Tables.nrmseTable` at seedBase 42, in
+  * `Nrmse.AllAlgorithms` × checkpoint order. It also prints each pair's
+  * `Tables.boundsRow` as five `%.17g` values, so that a change to the bounds
+  * can be diffed too. The argument is the simulation count (default 200).
   */
 object GridDigests {
 
@@ -34,6 +37,11 @@ object GridDigests {
           Seq(g.offsets, g.neighbors, g.labels).foreach { a => out.writeInt(a.length); a.foreach(out.writeInt) }
           out.writeInt(built.burnIn)
           built.pairs.foreach { p => out.writeInt(p.t1); out.writeInt(p.t2); out.writeLong(p.f) }
+        })
+        println(s"pairs ${spec.name} sha256=" + sha256 { out =>
+          GroundTruth.labelPairCounts(g).sorted.foreach { case (l1, l2, cnt) =>
+            out.writeInt(l1); out.writeInt(l2); out.writeLong(cnt)
+          }
         })
         for (pair <- built.pairs) {
           val table = Tables.nrmseTable(spark, built, pair, sims, seedBase = 42L)

@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec, TestGraphs}
+import repro.graph.CsrGraph
 
 class GroundTruthSpec extends SparkSpec {
   import spark.implicits._
@@ -102,15 +103,13 @@ class GroundTruthSpec extends SparkSpec {
   }
 
   test("labelPairCounts covers all edges exactly once") {
-    val total = GroundTruth.labelPairCounts(edges, labels).agg(sum("cnt")).head().getLong(0)
+    val total = GroundTruth.labelPairCounts(g).map(_._3).sum
     assert(total == g.numEdges)
   }
 
   test("labelPairCounts agrees with the DuckDB oracle") {
-    val sparkDf = GroundTruth.labelPairCounts(edges, labels)
-      .select(col("l1").cast("int") as "l1", col("l2").cast("int") as "l2", col("cnt"))
     Oracle.assertEquivalent(
-      sparkDf,
+      GroundTruth.labelPairCounts(g).toDF("l1", "l2", "cnt"),
       """SELECT LEAST(CAST(a.label AS INT), CAST(b.label AS INT)) AS l1,
         |       GREATEST(CAST(a.label AS INT), CAST(b.label AS INT)) AS l2,
         |       COUNT(*) AS cnt
@@ -122,10 +121,26 @@ class GroundTruthSpec extends SparkSpec {
   }
 
   test("labelPairCounts matches brute force per pair") {
-    val counts = GroundTruth.labelPairCounts(edges, labels).collect()
-      .map(r => (r.getInt(0), r.getInt(1)) -> r.getLong(2)).toMap
+    val counts = GroundTruth.labelPairCounts(g).map { case (l1, l2, cnt) => (l1, l2) -> cnt }.toMap
     for (t1 <- 1 to 3; t2 <- t1 to 3) {
       assert(counts.getOrElse((t1, t2), 0L) == TestGraphs.bruteForceF(g, t1, t2), s"($t1,$t2)")
     }
+  }
+
+  test("labelPairCounts: one row per present pair, l1 <= l2, ascending (l1, l2)") {
+    val rows = GroundTruth.labelPairCounts(g)
+    assert(rows.forall { case (l1, l2, cnt) => l1 <= l2 && cnt > 0 })
+    assert(rows.map(r => (r._1, r._2)) == rows.map(r => (r._1, r._2)).distinct.sorted)
+  }
+
+  test("labelPairCounts of the DataFrames equals the CSR table") {
+    assert(GroundTruth.labelPairCounts(edges, labels) == GroundTruth.labelPairCounts(g))
+  }
+
+  test("labelPairCounts keeps negative labels and full-range labels apart") {
+    val h = CsrGraph.fromEdges(4, Seq((0, 1), (1, 2), (2, 3), (3, 0)),
+                               Seq(0 -> -1, 1 -> Int.MaxValue, 2 -> -1, 3 -> Int.MinValue))
+    assert(GroundTruth.labelPairCounts(h) ==
+           Seq((Int.MinValue, -1, 2L), (-1, Int.MaxValue, 2L)))
   }
 }

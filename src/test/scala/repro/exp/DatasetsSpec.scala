@@ -6,7 +6,6 @@ import repro.{SparkSpec, TestGraphs}
 import repro.core.GroundTruth
 
 class DatasetsSpec extends SparkSpec {
-  import spark.implicits._
 
   private lazy val gender = Datasets.build(spark, TinySpecs.gender)
   private lazy val zipf = Datasets.build(spark, TinySpecs.zipf)
@@ -131,7 +130,6 @@ class DatasetsSpec extends SparkSpec {
 
   test("quartilePairs picks the median of each ascending quartile") {
     val pairCounts = (1 to 40).map(i => (1, i + 1, i.toLong))
-      .toDF("l1", "l2", "cnt")
     val picked = Datasets.quartilePairs(pairCounts, nPairs = 4, minCount = 20)
     // eligible counts: 20..40 (21 pairs); quartiles of 5,5,5,6 → medians
     assert(picked.map(_.f) == Seq(22L, 27L, 32L, 38L))
@@ -139,22 +137,50 @@ class DatasetsSpec extends SparkSpec {
 
   test("quartilePairs drops same-label pairs and rare pairs") {
     val pairCounts = Seq((1, 1, 100L), (1, 2, 5L), (2, 3, 30L), (3, 4, 40L))
-      .toDF("l1", "l2", "cnt")
     val picked = Datasets.quartilePairs(pairCounts, nPairs = 2, minCount = 20)
     assert(picked.map(p => (p.t1, p.t2)) == Seq((2, 3), (3, 4)))
   }
 
   test("quartilePairs fails loudly when too few pairs qualify") {
-    val pairCounts = Seq((1, 2, 30L)).toDF("l1", "l2", "cnt")
+    val pairCounts = Seq((1, 2, 30L))
     intercept[IllegalArgumentException](
       Datasets.quartilePairs(pairCounts, nPairs = 4, minCount = 20))
   }
 
   test("quartilePairs rejects nPairs < 1") {
-    val pairCounts = Seq((1, 2, 30L)).toDF("l1", "l2", "cnt")
+    val pairCounts = Seq((1, 2, 30L))
     Seq(0, -1).foreach { nPairs =>
       intercept[IllegalArgumentException](Datasets.quartilePairs(pairCounts, nPairs, minCount = 20))
     }
+  }
+
+  test("quartilePairs orders ties in count by (l1, l2), whatever the input order") {
+    val ordered = Seq((1, 9, 50L), (2, 3, 50L), (2, 5, 50L), (2, 7, 50L), (3, 5, 50L), (4, 9, 50L),
+                      (0, 9, 60L), (1, 2, 60L), (1, 8, 60L))
+    val pairCounts = (5, 5, 50L) +: (1, 3, 10L) +: ordered.reverse
+    val expected = ordered.map { case (l1, l2, cnt) => Datasets.LabelPair(l1, l2, cnt) }
+    val rng = new scala.util.Random(7)
+    (pairCounts +: Seq.fill(50)(rng.shuffle(pairCounts))).foreach { perm =>
+      // one pair per part: the picks are the whole eligible order
+      assert(Datasets.quartilePairs(perm, nPairs = 9, minCount = 20) == expected)
+      assert(Datasets.quartilePairs(perm, nPairs = 2, minCount = 20) == Seq(expected(2), expected(6)))
+    }
+  }
+
+  /** Entries in the session's cache manager; the count is `private[sql]`
+    * in Scala but a public method of the class.
+    */
+  private def cachedEntries: Int = {
+    val cm = spark.sharedState.cacheManager
+    cm.getClass.getMethod("numCachedEntries").invoke(cm).asInstanceOf[Int]
+  }
+
+  test("a failed build leaves no DataFrame cached") {
+    val before = cachedEntries
+    val e = intercept[IllegalArgumentException](
+      Datasets.build(spark, TinySpecs.zipf.copy(nPairs = 10000)))
+    assert(e.getMessage.contains("eligible label pairs"))
+    assert(cachedEntries <= before)
   }
 
   test("the five experiment specs are wired to the expected schemes") {
