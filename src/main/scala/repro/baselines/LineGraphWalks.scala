@@ -74,11 +74,11 @@ object LineGraphWalks {
     *  - otherwise: a proposal, then for EX-MHRW and EX-RCMH one
     *    `nextDouble()` drawn for the acceptance test.
     *
-    * A proposal is a uniform G'-neighbour: `nextInt(d')` picks the shared
-    * endpoint a ∈ {u, v} ∝ its d(a) − 1 other edges, then `nextInt(d(a))`
-    * is redrawn until the neighbour w is not the excluded endpoint (exact:
-    * no multi-edges). A move enters (a, w). A state with d' = 0 self-loops
-    * without drawing. Nothing is allocated per step.
+    * A proposal is a uniform G'-neighbour: `Walks.below(rng, d')` picks the
+    * shared endpoint a ∈ {u, v} ∝ its d(a) − 1 other edges, then
+    * `Walks.below(rng, d(a))` is redrawn until the neighbour w is not the
+    * excluded endpoint (exact: no multi-edges). A move enters (a, w). A state
+    * with d' = 0 self-loops without drawing. Nothing is allocated per step.
     *
     * Everything that depends only on the state — d', the target test, the
     * estimator weight and the MD move probability — is computed once, when
@@ -113,7 +113,7 @@ object LineGraphWalks {
     // start works — the chain burn-in dominates).
     var u = Walks.uniformStart(g, rng)
     var dU = offsets(u + 1) - offsets(u)
-    var v = neighbors(offsets(u) + rng.nextInt(dU))
+    var v = neighbors(offsets(u) + Walks.below(rng, dU))
     var dV = offsets(v + 1) - offsets(v)
     // per-state values of (u, v), refreshed whenever the chain moves
     var dCur = dU + dV - 2
@@ -129,13 +129,13 @@ object LineGraphWalks {
     var step = 1 - burnInSteps
     while (step <= maxK) {
       if (dCur > 0 && (!mdFamily || rng.nextDouble() < moveP)) {
-        val anchorIsU = rng.nextInt(dCur) < dU - 1
+        val anchorIsU = Walks.below(rng, dCur) < dU - 1
         val a = if (anchorIsU) u else v
         val excluded = if (anchorIsU) v else u
         val dA = if (anchorIsU) dU else dV
         val base = offsets(a)
         var w = excluded
-        while (w == excluded) w = neighbors(base + rng.nextInt(dA))
+        while (w == excluded) w = neighbors(base + Walks.below(rng, dA))
         val dW = offsets(w + 1) - offsets(w)
         val dProp = dA + dW - 2
         val accept = kind match {

@@ -35,13 +35,13 @@ object Estimators {
 
   /** NeighborExploration Horvitz-Thompson (paper Eq. 13):
     * F̂ = ½ Σ_{distinct u∈S} T(u) / (1-(1-d(u)/2|E|)^k).
-    * `sampled` holds (T(u), d(u)) for each distinct sampled node with T>0.
+    * Slot i < n of `t` and `d` holds T(u) and d(u) of the i-th distinct
+    * sampled node with T > 0; the sum runs in slot order.
     */
-  def neHorvitzThompson(nE: Long, sampled: Iterable[(Int, Int)], k: Int): Double = {
+  def neHorvitzThompson(nE: Long, t: Array[Int], d: Array[Int], n: Int, k: Int): Double = {
     var s = 0.0
-    sampled.foreach { case (t, d) =>
-      s += t / htInclusionProb(d / (2.0 * nE), k)
-    }
+    var i = 0
+    while (i < n) { s += t(i) / htInclusionProb(d(i) / (2.0 * nE), k); i += 1 }
     s / 2.0
   }
 

@@ -12,8 +12,9 @@ private[core] final class LongSet {
   /** Number of distinct keys added. */
   def size: Int = if (hasZero) used + 1 else used
 
-  def add(key: Long): Unit =
-    if (key == 0L) hasZero = true
+  /** Adds `key`; false if it was already in the set. */
+  def add(key: Long): Boolean =
+    if (key == 0L) { val added = !hasZero; hasZero = true; added }
     else if (insert(table, key)) {
       used += 1
       if (2 * used > table.length) {
@@ -22,7 +23,8 @@ private[core] final class LongSet {
         var i = 0
         while (i < old.length) { if (old(i) != 0L) insert(table, old(i)); i += 1 }
       }
-    }
+      true
+    } else false
 
   /** Puts non-zero `key` into `t`; false if it was already there. */
   private def insert(t: Array[Long], key: Long): Boolean = {

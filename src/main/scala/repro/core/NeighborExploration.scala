@@ -1,8 +1,6 @@
 package repro.core
 
-import java.util.SplittableRandom
-
-import scala.collection.mutable
+import java.util.{Arrays, SplittableRandom}
 
 import repro.graph.CsrGraph
 
@@ -25,7 +23,8 @@ import repro.graph.CsrGraph
   * sampling iterations when the checkpoint budget is crossed:
   *  - Hansen-Hurwitz (Eq. 11): running Σ T(uᵢ)/d(uᵢ).
   *  - Horvitz-Thompson (Eq. 13): distinct sampled nodes with T(u) > 0 and
-  *    their (T, d); inclusion probability depends on the iteration count.
+  *    their (T, d), kept in first-seen order in primitive arrays;
+  *    inclusion probability depends on the iteration count.
   *  - Re-weighted (Eq. 19): running Σ T(uᵢ)/d(uᵢ) and Σ 1/d(uᵢ).
   */
 object NeighborExploration {
@@ -51,8 +50,12 @@ object NeighborExploration {
     var samples = 0
     var sumTOverD = 0.0
     var sumInvD = 0.0
-    // distinct sampled nodes with positive T: node -> (T(u), d(u))
-    val distinct = mutable.HashMap.empty[Int, (Int, Int)]
+    // distinct sampled nodes with positive T, and their T(u) and d(u) in
+    // first-seen order
+    val distinct = new LongSet
+    var distinctT = new Array[Int](16)
+    var distinctD = new Array[Int](16)
+    var nDistinct = 0
     var next = 0
     while (apiCalls < maxBudget) {
       u = Walks.step(g, u, rng)
@@ -66,12 +69,19 @@ object NeighborExploration {
         val t = g.targetEdgesAt(u, t1, t2)
         if (t > 0) {
           sumTOverD += t.toDouble / d
-          distinct.update(u, (t, d))
+          if (distinct.add(u.toLong)) {
+            if (nDistinct == distinctT.length) {
+              distinctT = Arrays.copyOf(distinctT, 2 * nDistinct)
+              distinctD = Arrays.copyOf(distinctD, 2 * nDistinct)
+            }
+            distinctT(nDistinct) = t; distinctD(nDistinct) = d
+            nDistinct += 1
+          }
         }
       }
       while (next < nK && ks(next) <= apiCalls) {
         out(next) = Estimators.hansenHurwitz(nE, sumTOverD, samples)
-        out(nK + next) = Estimators.neHorvitzThompson(nE, distinct.values, samples)
+        out(nK + next) = Estimators.neHorvitzThompson(nE, distinctT, distinctD, nDistinct, samples)
         out(2 * nK + next) = Estimators.reweighted(nV, sumTOverD, 2.0 * sumInvD)
         next += 1
       }

@@ -24,31 +24,57 @@ object NeighborSample {
     * HH at checkpoint j in slot j, then HT at checkpoint j in slot nK + j.
     */
   def run(g: CsrGraph, t1: Int, t2: Int, checkpoints: Seq[Int], burnInSteps: Int,
-          rng: SplittableRandom): Array[Double] = {
+          rng: SplittableRandom): Array[Double] =
+    runLanes(g, t1, t2, checkpoints, burnInSteps, Array(rng))(0)
+
+  /** Run one simulation per stream of `rngs` (distinct objects) as lockstep
+    * lanes; lane l's estimates are `run(…, rngs(l))` in its layout.
+    *
+    * Each step advances every lane once. A lane's steps form one chain of
+    * dependent loads (offsets(u), then neighbors(…), then the next u), while
+    * the lanes' chains are independent, so the CPU overlaps their cache
+    * misses. Lane l draws only from rngs(l), in the order a lone run draws:
+    * its start node, its burn-in steps (1 − burnInSteps .. 0), then its
+    * sampled steps 1 .. max(checkpoints). So every lane is bit-identical to a
+    * lone run, whatever the other lanes.
+    */
+  def runLanes(g: CsrGraph, t1: Int, t2: Int, checkpoints: Seq[Int], burnInSteps: Int,
+               rngs: Array[SplittableRandom]): Array[Array[Double]] = {
     val ks = Walks.requireSchedule(checkpoints, burnInSteps)
     val nE = g.numEdges
     val nK = ks.length
-    val maxK = ks.last
-    val out = new Array[Double](2 * nK)
+    val lanes = rngs.length
+    val out = Array.fill(lanes)(new Array[Double](2 * nK))
+    val node = Array.tabulate(lanes)(l => Walks.uniformStart(g, rngs(l)))
+    val targetHits = new Array[Long](lanes)
+    val distinctTargets = Array.fill(lanes)(new LongSet)
 
-    var u = Walks.burnIn(g, Walks.uniformStart(g, rng), burnInSteps, rng)
-    var targetHits = 0L
-    val distinctTargets = new LongSet
-    var next = 0 // index of next checkpoint to emit
-    var i = 1
-    while (i <= maxK) {
-      val v = Walks.step(g, u, rng)
-      if (g.isTargetEdge(u, v, t1, t2)) {
-        targetHits += 1
-        distinctTargets.add(CsrGraph.edgeKey(u, v))
+    var next = 0 // slot of the next checkpoint, at step nextK
+    var nextK = ks(0)
+    var step = 1 - burnInSteps
+    while (step <= ks.last) {
+      var l = 0
+      while (l < lanes) {
+        val u = node(l)
+        val v = Walks.step(g, u, rngs(l))
+        if (step >= 1 && g.isTargetEdge(u, v, t1, t2)) {
+          targetHits(l) += 1
+          distinctTargets(l).add(CsrGraph.edgeKey(u, v))
+        }
+        node(l) = v
+        l += 1
       }
-      u = v
-      while (next < nK && ks(next) == i) {
-        out(next) = Estimators.hansenHurwitz(nE, targetHits.toDouble, i)
-        out(nK + next) = Estimators.nsHorvitzThompson(nE, distinctTargets.size, i)
+      if (step == nextK) { // strictly ascending: at most one checkpoint per step
+        l = 0
+        while (l < lanes) {
+          out(l)(next) = Estimators.hansenHurwitz(nE, targetHits(l).toDouble, step)
+          out(l)(nK + next) = Estimators.nsHorvitzThompson(nE, distinctTargets(l).size, step)
+          l += 1
+        }
         next += 1
+        nextK = if (next < nK) ks(next) else 0 // 0: none left
       }
-      i += 1
+      step += 1
     }
     require(next == nK, s"${nK - next} checkpoints not estimated")
     out

@@ -13,12 +13,14 @@ import repro.graph.CsrGraph
   *
   * The walk itself is sequential; the parallel dimension is the paper's 200
   * independent simulations per table cell. The CSR graph is broadcast once
-  * and an RDD of simulation indices fans the walks out across cores. Each
-  * simulation ships its estimates as one `Array[Double]` in a fixed cell
-  * layout: cell j is (`AllAlgorithms(j / nK)`, `checkpoints(j % nK)`) over
-  * the nK strictly ascending checkpoints. The driver computes each cell's
-  * NRMSE from its column of the sims × cells matrix, in simulation order, so
-  * a grid does not depend on how the simulations were partitioned.
+  * and an RDD of simulation indices fans the walks out across cores; each
+  * task runs its simulations as one batch, with the NeighborSample walks in
+  * lockstep lanes. Each simulation ships its estimates as one
+  * `Array[Double]` in a fixed cell layout: cell j is
+  * (`AllAlgorithms(j / nK)`, `checkpoints(j % nK)`) over the nK strictly
+  * ascending checkpoints. The driver computes each cell's NRMSE from its
+  * column of the sims × cells matrix, in simulation order, so a grid does
+  * not depend on how the simulations were partitioned.
   */
 object Nrmse {
 
@@ -39,22 +41,34 @@ object Nrmse {
     * its own RNG stream split from `seed` (NS, NE, then `defaultVariants` in order).
     */
   def simulate(g: CsrGraph, t1: Int, t2: Int, checkpoints: Seq[Int],
-               burnInSteps: Int, seed: Long): Array[Double] = {
+               burnInSteps: Int, seed: Long): Array[Double] =
+    simulateBatch(g, t1, t2, checkpoints, burnInSteps, Array(seed))(0)
+
+  /** `simulate` for each of `seeds`, in order: the NeighborSample walks of all
+    * seeds run as lockstep lanes ([[NeighborSample.runLanes]]), the other
+    * walkers one seed at a time. Each seed's root stream is split in
+    * `simulate`'s order, so row s is `simulate(…, seeds(s))` bit for bit.
+    */
+  def simulateBatch(g: CsrGraph, t1: Int, t2: Int, checkpoints: Seq[Int],
+                    burnInSteps: Int, seeds: Array[Long]): Array[Array[Double]] = {
     val nK = checkpoints.size
-    val root = new SplittableRandom(seed)
+    val roots = seeds.map(new SplittableRandom(_))
     // split() gives statistically independent streams per algorithm family
-    val ns = NeighborSample.run(g, t1, t2, checkpoints, burnInSteps, root.split())
-    val ne = NeighborExploration.run(g, t1, t2, checkpoints, burnInSteps, root.split())
-    val out = ns ++ ne ++ new Array[Double](exRows.length * nK)
-    require(out.length == AllAlgorithms.size * nK, s"${out.length} estimates for ${AllAlgorithms.size * nK} cells")
-    exRows.foreach { case (v, row) => System.arraycopy(
-      LineGraphWalks.run(g, v, t1, t2, checkpoints, burnInSteps, root.split()), 0, out, row * nK, nK) }
-    out
+    val ns = NeighborSample.runLanes(g, t1, t2, checkpoints, burnInSteps, roots.map(_.split()))
+    Array.tabulate(roots.length) { s =>
+      val ne = NeighborExploration.run(g, t1, t2, checkpoints, burnInSteps, roots(s).split())
+      val out = ns(s) ++ ne ++ new Array[Double](exRows.length * nK)
+      require(out.length == AllAlgorithms.size * nK, s"${out.length} estimates for ${AllAlgorithms.size * nK} cells")
+      exRows.foreach { case (v, row) => System.arraycopy(
+        LineGraphWalks.run(g, v, t1, t2, checkpoints, burnInSteps, roots(s).split()), 0, out, row * nK, nK) }
+      out
+    }
   }
 
   /** The sims × cells matrix of simulations `0 until sims`: row s is
     * simulation s's estimates in the cell layout. One Spark job runs them
-    * over a broadcast of `g`, which is destroyed before this returns.
+    * over a broadcast of `g`, which is destroyed before this returns; each
+    * task runs its slice of seeds as one `simulateBatch`.
     */
   private def simulations(spark: SparkSession, g: CsrGraph, t1: Int, t2: Int,
                           checkpoints: Seq[Int], burnInSteps: Int, sims: Int,
@@ -65,7 +79,8 @@ object Nrmse {
     val slices = math.min(sims, spark.sparkContext.defaultParallelism * 2)
     try spark.sparkContext
       .parallelize(0 until sims, slices)
-      .map(sim => simulate(bc.value, t1, t2, checkpoints, burnInSteps, seedBase + sim))
+      .mapPartitions(part => simulateBatch(bc.value, t1, t2, checkpoints, burnInSteps,
+                                           part.map(seedBase + _).toArray).iterator)
       .collect()
     finally bc.destroy()
   }

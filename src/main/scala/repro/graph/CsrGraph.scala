@@ -21,7 +21,7 @@ import org.apache.spark.sql.DataFrame
   */
 final class CsrGraph(
     val offsets: Array[Int],    // length n+1; neighbor slice of u is [offsets(u), offsets(u+1))
-    val neighbors: Array[Int],  // length 2|E|
+    val neighbors: Array[Int],  // length 2|E|; each friend list ascending when built by fromEdges
     val labels: Array[Int],     // length n
 ) extends Serializable {
 
@@ -108,7 +108,10 @@ object CsrGraph {
     fromEdges(n, ArraySeq.unsafeWrapArray(es), ArraySeq.unsafeWrapArray(ls))
   }
 
-  /** Build from local arrays; labels default to 0 for unlisted nodes. */
+  /** Build from local arrays; labels default to 0 for unlisted nodes. Each
+    * friend list is sorted ascending, so the graph does not depend on the
+    * order of `edges` (nor on the Spark plan that produced them).
+    */
   def fromEdges(n: Int, edges: Seq[(Int, Int)], labels: Seq[(Int, Int)] = Nil): CsrGraph = {
     val deg = new Array[Int](n)
     edges.foreach { case (u, v) =>
@@ -124,6 +127,8 @@ object CsrGraph {
       nbr(cursor(u)) = v; cursor(u) += 1
       nbr(cursor(v)) = u; cursor(v) += 1
     }
+    i = 0
+    while (i < n) { java.util.Arrays.sort(nbr, offsets(i), offsets(i + 1)); i += 1 }
     val lab = new Array[Int](n)
     labels.foreach { case (u, l) => lab(u) = l }
     new CsrGraph(offsets, nbr, lab)

@@ -29,17 +29,17 @@ object LineGraphWalksReference {
     require(total > 0, s"edge ($u,$v) is isolated in the line graph")
     // Choose the shared endpoint with probability proportional to its count
     // of other incident edges, then a uniform other edge at that endpoint.
-    val r = rng.nextInt(total)
+    val r = Walks.below(rng, total)
     val (anchor, excluded) = if (r < du - 1) (u, v) else (v, u)
     var w = excluded
-    while (w == excluded) w = g.neighbor(anchor, rng.nextInt(g.degree(anchor)))
+    while (w == excluded) w = g.neighbor(anchor, Walks.below(rng, g.degree(anchor)))
     (anchor, w)
   }
 
   /** A start G-edge drawn by one SRW node draw plus a uniform incident edge. */
   private def startEdge(g: CsrGraph, rng: SplittableRandom): (Int, Int) = {
     val u = Walks.uniformStart(g, rng)
-    (u, g.neighbor(u, rng.nextInt(g.degree(u))))
+    (u, g.neighbor(u, Walks.below(rng, g.degree(u))))
   }
 
   /** One simulation of `variant`, as [[LineGraphWalks.run]]. */

@@ -49,11 +49,11 @@ class EstimatorsSpec extends SparkSpec {
 
   test("neHorvitzThompson: hand-computed two-node case") {
     val nE = 10L; val k = 4
-    val sampled = Seq((2, 5), (1, 2)) // (T, d)
+    val (t, d) = (Array(2, 1, 7), Array(5, 2, 9)) // slot 2 lies past n = 2
     val expected = 0.5 * (
       2 / (1 - math.pow(1 - 5 / 20.0, k)) +
       1 / (1 - math.pow(1 - 2 / 20.0, k)))
-    assert(math.abs(Estimators.neHorvitzThompson(nE, sampled, k) - expected) < 1e-9)
+    assert(math.abs(Estimators.neHorvitzThompson(nE, t, d, 2, k) - expected) < 1e-9)
   }
 
   test("reweighted for NE-RW: |V|·sumT/(2·sumInv)") {

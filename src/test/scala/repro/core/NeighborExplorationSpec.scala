@@ -125,7 +125,8 @@ class NeighborExplorationSpec extends SparkSpec {
       var samples = 0
       var sumTOverD = 0.0
       var sumInvD = 0.0
-      val distinct = mutable.HashMap.empty[Int, (Int, Int)] // node -> (T(u), d(u)), T > 0
+      // node -> (T(u), d(u)), T > 0, iterated in first-seen order
+      val distinct = mutable.LinkedHashMap.empty[Int, (Int, Int)]
       var sharedCrossings = 0 // checkpoints crossed by the iteration that crossed the one before
       var next = 0
       while (next < checkpoints.length) {

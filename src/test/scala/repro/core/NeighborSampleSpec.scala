@@ -74,12 +74,69 @@ class NeighborSampleSpec extends SparkSpec {
     assert(math.abs(mean - f) < 0.10 * f, s"mean=$mean F=$f")
   }
 
-  test("HT is close to unbiased: mean over sims within 15% of F") {
+  /** E[NS-HT] after k sampled steps of a walk started uniformly and burned in
+    * for `burnIn` steps, exactly: E[distinct target edges] = Σₑ (1 − P(the k
+    * sampled steps avoid e)) over the target edges e = {a, b}, divided by
+    * 1 − (1 − 1/|E|)^k. Each P is a killed-chain forward recursion: the
+    * burned-in law propagated k steps by `MixingTime.stepDistribution` with
+    * the flow across e in both directions removed, so the mass left is the
+    * walk's chance of never crossing e.
+    */
+  private def exactHtMean(k: Int, burnIn: Int): Double = {
+    var p = Array.fill(g.numNodes)(1.0 / g.numNodes)
+    (1 to burnIn).foreach(_ => p = MixingTime.stepDistribution(g, p))
+    val targets = TestGraphs.edgeList(g).filter { case (a, b) => g.isTargetEdge(a, b, 1, 2) }
+    val expectedDistinct = targets.map { case (a, b) =>
+      var q = p
+      (1 to k).foreach { _ =>
+        val next = MixingTime.stepDistribution(g, q)
+        next(b) -= q(a) / g.degree(a)
+        next(a) -= q(b) / g.degree(b)
+        q = next
+      }
+      1.0 - q.sum
+    }.sum
+    expectedDistinct / Estimators.htInclusionProb(1.0 / g.numEdges, k)
+  }
+
+  test("HT mean over sims matches its exact expectation on the walk") {
+    // HT is biased on a walk without thinning (DESIGN.md §3): the mean is
+    // compared with the walk's exact expectation, not with F, within a rule
+    // fixed before the first run: 4 standard errors of the 600-sim mean
     val sims = 600
-    val mean = (1 to sims).map { s =>
+    val est = (1 to sims).map { s =>
       NeighborSample.run(g, 1, 2, Seq(40), 150, new SplittableRandom(5000 + s))(1)
-    }.sum / sims
-    assert(math.abs(mean - f) < 0.15 * f, s"mean=$mean F=$f")
+    }
+    val mean = est.sum / sims
+    val sd = math.sqrt(est.map(e => (e - mean) * (e - mean)).sum / (sims - 1))
+    val exact = exactHtMean(k = 40, burnIn = 150)
+    assert(math.abs(mean - exact) <= 4 * sd / math.sqrt(sims), s"mean=$mean exact=$exact sd=$sd F=$f")
+  }
+
+  test("exactHtMean's recursion gives the stationary hit chance of one step") {
+    // after a long burn-in the law is π, and one step crosses a given edge
+    // with chance exactly 1/|E|, so E[distinct] = #target edges / |E| and
+    // E[HT] at k = 1 is the number of target edges, F
+    assert(math.abs(exactHtMean(k = 1, burnIn = 2000) - f) < 1e-9 * f)
+  }
+
+  test("runLanes: lane l equals run on rngs(l), bit for bit") {
+    def bits(est: Array[Double]) = est.toSeq.map(java.lang.Double.doubleToLongBits)
+    for (cps <- Seq(Seq(40), Seq(1, 7, 300)); burnIn <- Seq(0, 150); lanes <- Seq(1, 3, 17)) {
+      val seeds = (0 until lanes).map(l => 700L + 31 * l)
+      val got = NeighborSample.runLanes(g, 1, 2, cps, burnIn, seeds.map(new SplittableRandom(_)).toArray)
+      assert(got.length == lanes)
+      seeds.zip(got).foreach { case (seed, lane) =>
+        assert(bits(lane) == bits(NeighborSample.run(g, 1, 2, cps, burnIn, new SplittableRandom(seed))),
+          s"checkpoints $cps burn-in $burnIn lanes $lanes seed $seed")
+      }
+    }
+  }
+
+  test("runLanes with no lanes returns no rows, and checks the schedule") {
+    assert(NeighborSample.runLanes(g, 1, 2, Seq(5), 10, Array.empty[SplittableRandom]).isEmpty)
+    intercept[IllegalArgumentException](
+      NeighborSample.runLanes(g, 1, 2, Seq(5, 5), 10, Array(new SplittableRandom(1))))
   }
 
   test("HH error shrinks with the budget (variance sanity)") {

@@ -51,6 +51,17 @@ class NrmseSpec extends SparkSpec {
     }
   }
 
+  test("simulateBatch row s equals simulate on seeds(s), bit for bit") {
+    def bits(est: Array[Double]) = est.toSeq.map(java.lang.Double.doubleToLongBits)
+    for (cps <- Seq(Seq(10, 20), Seq(1, 5, 40)); seeds <- Seq(Seq(3L), Seq(9L, 4L, 9L, 1000L, -7L))) {
+      val got = Nrmse.simulateBatch(g, 1, 2, cps, 50, seeds.toArray)
+      assert(got.length == seeds.size)
+      seeds.zip(got).foreach { case (seed, row) =>
+        assert(bits(row) == bits(Nrmse.simulate(g, 1, 2, cps, 50, seed)), s"checkpoints $cps seed $seed")
+      }
+    }
+  }
+
   test("simulate is deterministic in the seed") {
     val a = Nrmse.simulate(g, 1, 2, Seq(10, 20), 50, seed = 7)
     val b = Nrmse.simulate(g, 1, 2, Seq(10, 20), 50, seed = 7)

@@ -20,6 +20,52 @@ class WalksSpec extends SparkSpec {
     out
   }
 
+  private val bounds = Seq(1, 2, 3, 7, 1000, Int.MaxValue)
+
+  test("below stays in [0, b) and returns 0 for b = 1") {
+    val rng = new SplittableRandom(21)
+    bounds.foreach { b =>
+      (1 to 20000).foreach { _ =>
+        val x = Walks.below(rng, b)
+        assert(x >= 0 && x < b, s"bound $b drew $x")
+        if (b == 1) assert(x == 0)
+      }
+    }
+  }
+
+  test("below rejects a bound below 1") {
+    Seq(0, -1, Int.MinValue).foreach { b =>
+      intercept[IllegalArgumentException](Walks.below(new SplittableRandom(1), b))
+    }
+  }
+
+  test("below is Lemire's multiply-shift on nextInt(), redraws included") {
+    // 2³² mod 1431655766 = 1431655764: about a third of the draws at that bound redraw
+    val two32 = BigInt(1) << 32
+    (bounds :+ 1431655766).foreach { b =>
+      val (rng, ref) = (new SplittableRandom(b.toLong), new SplittableRandom(b.toLong))
+      (1 to 5000).foreach { i =>
+        var m = BigInt(ref.nextInt() & 0xFFFFFFFFL) * b
+        while (m % two32 < two32 % b) m = BigInt(ref.nextInt() & 0xFFFFFFFFL) * b
+        assert(Walks.below(rng, b) == (m / two32).toInt, s"bound $b draw $i")
+      }
+    }
+  }
+
+  test("below passes a chi-square test at b = 7 and b = 1000 over 10^6 draws") {
+    // thresholds fixed up front: the Wilson-Hilferty 5σ quantiles of χ²(b − 1),
+    // an upper tail of about 3·10⁻⁷
+    Seq(7 -> 42.81, 1000 -> 1238.81).foreach { case (b, threshold) =>
+      val rng = new SplittableRandom(b + 17L)
+      val n = 1000000
+      val counts = new Array[Long](b)
+      (1 to n).foreach(_ => counts(Walks.below(rng, b)) += 1)
+      val expected = n.toDouble / b
+      val chi2 = counts.map(c => (c - expected) * (c - expected) / expected).sum
+      assert(chi2 < threshold, s"bound $b: chi-square $chi2")
+    }
+  }
+
   test("step always moves to an adjacent node") {
     val g = TestGraphs.connectedRandom(30, 45, seed = 31)
     val rng = new SplittableRandom(1)

@@ -52,6 +52,16 @@ class DatasetsSpec extends SparkSpec {
     assert(a.pairs == b.pairs)
   }
 
+  test("the CSR graph does not depend on the shuffle partition count") {
+    val key = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(key)
+    def csr(b: Datasets.Built) = Seq(b.g.offsets.toSeq, b.g.neighbors.toSeq, b.g.labels.toSeq)
+    try Seq(TinySpecs.gender, TinySpecs.zipf, TinySpecs.deg).foreach { spec =>
+      def under(partitions: String) = { spark.conf.set(key, partitions); csr(Datasets.build(spark, spec)) }
+      assert(under("4") == under("64"), spec.name)
+    } finally spark.conf.set(key, saved)
+  }
+
   test("build leaves no DataFrame cached") {
     Seq(gender, zipf, deg).foreach { b =>
       assert(b.edges.storageLevel == StorageLevel.NONE, b.name)

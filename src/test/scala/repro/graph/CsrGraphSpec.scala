@@ -25,6 +25,28 @@ class CsrGraphSpec extends SparkSpec {
     }
   }
 
+  test("fromEdges: friend lists are ascending") {
+    val g = TestGraphs.connectedRandom(40, 90, seed = 6)
+    (0 until g.numNodes).foreach { u =>
+      val list = (0 until g.degree(u)).map(g.neighbor(u, _))
+      assert(list == list.sorted, s"friend list of $u")
+    }
+  }
+
+  test("fromEdges gives the same graph for any order and orientation of its edges") {
+    val g = TestGraphs.connectedRandom(40, 90, seed = 8)
+    val es = TestGraphs.edgeList(g)
+    val labels = (0 until g.numNodes).map(u => u -> g.label(u))
+    val rng = new SplittableRandom(9)
+    (1 to 20).foreach { trial =>
+      val shuffled = new scala.util.Random(trial).shuffle(es)
+        .map { case (u, v) => if (rng.nextBoolean()) (v, u) else (u, v) }
+      val h = CsrGraph.fromEdges(g.numNodes, shuffled, labels.reverse)
+      assert(h.offsets.toSeq == g.offsets.toSeq && h.neighbors.toSeq == g.neighbors.toSeq &&
+        h.labels.toSeq == g.labels.toSeq, s"trial $trial")
+    }
+  }
+
   test("numNodes and numEdges are consistent with input") {
     val g = TestGraphs.connectedRandom(25, 30, seed = 3)
     assert(g.numNodes == 25)
