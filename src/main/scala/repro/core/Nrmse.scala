@@ -4,6 +4,7 @@ import java.util.SplittableRandom
 
 import scala.collection.mutable
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
 import repro.baselines.LineGraphWalks
@@ -12,10 +13,11 @@ import repro.graph.CsrGraph
 /** NRMSE experiment harness (paper Eq. 24).
   *
   * The walk itself is sequential; the parallel dimension is the paper's 200
-  * independent simulations per table cell. The CSR graph is broadcast once
-  * and an RDD of simulation indices fans the walks out across cores; each
-  * task runs its simulations as one batch, with the NeighborSample walks in
-  * lockstep lanes. Each simulation ships its estimates as one
+  * independent simulations per table cell. An RDD of simulation indices
+  * fans the walks out across cores over a broadcast of the CSR graph, made
+  * per call by `run` and `estimates` or owned by the caller of `runOn`.
+  * Each task runs its simulations as one batch, with the NeighborSample
+  * walks in lockstep lanes. Each simulation ships its estimates as one
   * `Array[Double]` in a fixed cell layout: cell j is
   * (`AllAlgorithms(j / nK)`, `checkpoints(j % nK)`) over the nK strictly
   * ascending checkpoints. The driver computes each cell's NRMSE from its
@@ -66,23 +68,32 @@ object Nrmse {
   }
 
   /** The sims × cells matrix of simulations `0 until sims`: row s is
-    * simulation s's estimates in the cell layout. One Spark job runs them
-    * over a broadcast of `g`, which is destroyed before this returns; each
-    * task runs its slice of seeds as one `simulateBatch`.
+    * simulation s's estimates in the cell layout. The arguments are checked
+    * before `graph` is read, so a bad grid makes no broadcast; then one
+    * Spark job runs the simulations over it, one task per core, each task
+    * its slice of seeds as one `simulateBatch`.
     */
-  private def simulations(spark: SparkSession, g: CsrGraph, t1: Int, t2: Int,
+  private def simulations(spark: SparkSession, graph: => Broadcast[CsrGraph], t1: Int, t2: Int,
                           checkpoints: Seq[Int], burnInSteps: Int, sims: Int,
                           seedBase: Long): Array[Array[Double]] = {
     require(sims > 0, s"sims must be positive, got $sims")
     Walks.requireSchedule(checkpoints, burnInSteps)
-    val bc = spark.sparkContext.broadcast(g)
-    val slices = math.min(sims, spark.sparkContext.defaultParallelism * 2)
-    try spark.sparkContext
+    val bc = graph
+    val slices = math.min(sims, spark.sparkContext.defaultParallelism)
+    spark.sparkContext
       .parallelize(0 until sims, slices)
       .mapPartitions(part => simulateBatch(bc.value, t1, t2, checkpoints, burnInSteps,
                                            part.map(seedBase + _).toArray).iterator)
       .collect()
-    finally bc.destroy()
+  }
+
+  /** `body` over a broadcast of `g` that is made when `body` first reads it
+    * and destroyed before this returns.
+    */
+  private def broadcasting[A](spark: SparkSession, g: CsrGraph)(body: (=> Broadcast[CsrGraph]) => A): A = {
+    var bc: Broadcast[CsrGraph] = null
+    try body { if (bc == null) bc = spark.sparkContext.broadcast(g); bc }
+    finally if (bc != null) bc.destroy()
   }
 
   /** Raw estimates over `sims` independent simulations as a local DataFrame
@@ -93,7 +104,7 @@ object Nrmse {
                 checkpoints: Seq[Int], burnInSteps: Int, sims: Int,
                 seedBase: Long): DataFrame = {
     import spark.implicits._
-    val est = simulations(spark, g, t1, t2, checkpoints, burnInSteps, sims, seedBase)
+    val est = broadcasting(spark, g)(simulations(spark, _, t1, t2, checkpoints, burnInSteps, sims, seedBase))
     val ks = checkpoints.toIndexedSeq
     est.indices.flatMap { sim =>
       est(sim).indices.map(c => (AllAlgorithms(c / ks.size), ks(c % ks.size), sim, est(sim)(c)))
@@ -129,13 +140,21 @@ object Nrmse {
   }
 
   /** End-to-end: algorithm -> k -> NRMSE for table printing, from one Spark
-    * job over the simulations.
+    * job over the simulations on a broadcast of `g` made for this call.
     */
   def run(spark: SparkSession, g: CsrGraph, t1: Int, t2: Int,
           checkpoints: Seq[Int], burnInSteps: Int, sims: Int, f: Long,
-          seedBase: Long = 42L): Map[String, Map[Int, Double]] = {
+          seedBase: Long = 42L): Map[String, Map[Int, Double]] =
+    broadcasting(spark, g)(runOn(spark, _, t1, t2, checkpoints, burnInSteps, sims, f, seedBase))
+
+  /** [[run]] over a broadcast graph that the caller owns and keeps: read
+    * only after every argument is checked, never destroyed here.
+    */
+  private[repro] def runOn(spark: SparkSession, graph: => Broadcast[CsrGraph], t1: Int, t2: Int,
+                           checkpoints: Seq[Int], burnInSteps: Int, sims: Int, f: Long,
+                           seedBase: Long): Map[String, Map[Int, Double]] = {
     requirePositive(f)
-    val est = simulations(spark, g, t1, t2, checkpoints, burnInSteps, sims, seedBase)
+    val est = simulations(spark, graph, t1, t2, checkpoints, burnInSteps, sims, seedBase)
     val nK = checkpoints.size
     AllAlgorithms.zipWithIndex.map { case (alg, a) =>
       alg -> checkpoints.zipWithIndex.map { case (k, j) =>
@@ -144,9 +163,11 @@ object Nrmse {
     }.toMap
   }
 
-  /** The paper's budget grid: k = {0.5%, 1.0%, …, 5.0%}·|V| (ceil, ≥1). */
+  /** The paper's budget grid: k = ⌈j·|V|/200⌉ for j = 1..10, i.e. {0.5%,
+    * 1.0%, …, 5.0%}·|V| rounded up, in exact integer arithmetic.
+    */
   def paperCheckpoints(nV: Long): Seq[Int] = {
     require(nV >= 1, s"a graph has at least one node, got |V| = $nV")
-    (1 to 10).map(j => math.max(1, math.ceil(nV * 0.005 * j).toInt)).distinct
+    (1 to 10).map(j => Math.toIntExact((Math.multiplyExact(nV, j.toLong) + 199) / 200)).distinct
   }
 }

@@ -1,5 +1,7 @@
 package repro.exp
 
+import org.apache.spark.SparkContext
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
 import repro.core.{GroundTruth, MixingTime}
@@ -22,7 +24,8 @@ object Datasets {
   }
 
   /** A fully prepared dataset: CSR graph + metadata, with the lazy
-    * DataFrame plans it was built from (recomputed if read).
+    * DataFrame plans it was built from (recomputed if read), and one
+    * broadcast of the graph that all of its NRMSE grids share.
     */
   final case class Built(
       name: String,
@@ -35,6 +38,24 @@ object Datasets {
   ) {
     def nV: Long = g.numNodes
     def nE: Long = g.numEdges
+
+    @transient private var broadcast: Option[(SparkContext, Broadcast[CsrGraph])] = None
+
+    /** `g` broadcast on `sc`: made on first use, and made again if `sc` is
+      * another context or the memo's context has stopped. It is never
+      * destroyed here. Only this `Built` holds the handle (the block manager
+      * holds the graph, not the handle), so Spark's ContextCleaner removes
+      * the broadcast once the `Built` is garbage-collected.
+      */
+    def graphBroadcast(sc: SparkContext): Broadcast[CsrGraph] = synchronized {
+      broadcast match {
+        case Some((memoSc, bc)) if (memoSc eq sc) && !sc.isStopped => bc
+        case _ =>
+          val bc = sc.broadcast(g)
+          broadcast = Some(sc -> bc)
+          bc
+      }
+    }
   }
 
   /** How a dataset's node labels are produced. */

@@ -40,13 +40,15 @@ object Tables {
     }
   }
 
-  /** Run one NRMSE grid — the experiment behind one of Tables 4–17. */
+  /** Run one NRMSE grid — the experiment behind one of Tables 4–17 — on
+    * the dataset's shared broadcast of its graph.
+    */
   def nrmseTable(spark: SparkSession, built: Datasets.Built,
                  pair: Datasets.LabelPair, sims: Int,
                  seedBase: Long = 42L): NrmseTable = {
     val cps = Nrmse.paperCheckpoints(built.nV)
-    val results = Nrmse.run(spark, built.g, pair.t1, pair.t2, cps,
-                            built.burnIn, sims, pair.f, seedBase)
+    val results = Nrmse.runOn(spark, built.graphBroadcast(spark.sparkContext), pair.t1, pair.t2,
+                              cps, built.burnIn, sims, pair.f, seedBase)
     NrmseTable(built.name, pair, built.nE, cps, results)
   }
 

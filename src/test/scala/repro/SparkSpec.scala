@@ -1,6 +1,8 @@
 package repro
 
+import org.apache.spark.SparkEnv
 import org.apache.spark.sql.SparkSession
+import org.apache.spark.storage.BroadcastBlockId
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.jobs.RunTables
@@ -13,6 +15,19 @@ import repro.jobs.RunTables
   */
 trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
+
+  /** Broadcast value blocks in this JVM's block manager that hold `value`
+    * (Spark's own task-binary broadcasts stay until its ContextCleaner
+    * removes them).
+    */
+  def blocksHolding(value: AnyRef): Int = {
+    val blockManager = SparkEnv.get.blockManager
+    blockManager.getMatchingBlockIds(_.isBroadcast).count {
+      case id @ BroadcastBlockId(_, "") =>
+        blockManager.getLocalValues(id).exists(_.data.toList.exists(_.asInstanceOf[AnyRef] eq value))
+      case _ => false
+    }
+  }
 }
 
 object SparkSpec {

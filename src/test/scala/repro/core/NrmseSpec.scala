@@ -2,13 +2,11 @@ package repro.core
 
 import java.util.SplittableRandom
 
-import org.apache.spark.storage.BroadcastBlockId
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.{Seconds, Span}
 
 import repro.{SparkSpec, TestGraphs}
 import repro.baselines.LineGraphWalks
-import repro.graph.CsrGraph
 
 class NrmseSpec extends SparkSpec {
 
@@ -140,19 +138,6 @@ class NrmseSpec extends SparkSpec {
     }
   }
 
-  /** Broadcast value blocks in this JVM's block manager that hold `graph`
-    * (Spark's own task-binary broadcasts stay until its ContextCleaner
-    * removes them).
-    */
-  private def blocksHolding(graph: CsrGraph): Int = {
-    val blockManager = org.apache.spark.SparkEnv.get.blockManager
-    blockManager.getMatchingBlockIds(_.isBroadcast).count {
-      case id @ BroadcastBlockId(_, "") =>
-        blockManager.getLocalValues(id).exists(_.data.toList.exists(_.asInstanceOf[AnyRef] eq graph))
-      case _ => false
-    }
-  }
-
   test("run releases its broadcast of the graph") {
     // a graph object of this test's own, so every block holding it is run's
     val graph = TestGraphs.connectedRandom(40, 80, seed = 95, nLabels = 3)
@@ -174,6 +159,27 @@ class NrmseSpec extends SparkSpec {
   test("run and estimates reject sims = 0") {
     intercept[IllegalArgumentException](Nrmse.run(spark, g, 1, 2, Seq(10), 50, sims = 0, f = f))
     intercept[IllegalArgumentException](Nrmse.estimates(spark, g, 1, 2, Seq(10), 50, sims = 0, seedBase = 1))
+  }
+
+  test("runOn checks sims, the schedule and F before it reads the broadcast") {
+    def never = fail("runOn read the broadcast of a grid it must reject")
+    intercept[IllegalArgumentException](Nrmse.runOn(spark, never, 1, 2, Seq(10), 50, sims = 0, f = f, seedBase = 1))
+    intercept[IllegalArgumentException](Nrmse.runOn(spark, never, 1, 2, Seq(10), -1, sims = 2, f = f, seedBase = 1))
+    intercept[IllegalArgumentException](Nrmse.runOn(spark, never, 1, 2, Seq(20, 10), 50, sims = 2, f = f, seedBase = 1))
+    intercept[IllegalArgumentException](Nrmse.runOn(spark, never, 1, 2, Seq(10), 50, sims = 2, f = 0, seedBase = 1))
+  }
+
+  test("runOn leaves the caller's broadcast alive and equals run, bit for bit") {
+    val bc = spark.sparkContext.broadcast(g)
+    try {
+      def bits(r: Map[String, Map[Int, Double]]) =
+        r.map { case (a, m) => a -> m.map { case (k, v) => k -> java.lang.Double.doubleToLongBits(v) } }
+      val first = Nrmse.runOn(spark, bc, 1, 2, Seq(10, 25), 50, sims = 13, f = f, seedBase = 5)
+      val second = Nrmse.runOn(spark, bc, 1, 2, Seq(10, 25), 50, sims = 13, f = f, seedBase = 5)
+      assert(bc.value eq g)
+      val expected = bits(Nrmse.run(spark, g, 1, 2, Seq(10, 25), 50, sims = 13, f = f, seedBase = 5))
+      assert(bits(first) == expected && bits(second) == expected)
+    } finally bc.destroy()
   }
 
   test("run and estimates reject a negative burn-in") {
@@ -199,6 +205,15 @@ class NrmseSpec extends SparkSpec {
     assert(Nrmse.paperCheckpoints(1000).head == 5)
     val tiny = Nrmse.paperCheckpoints(10) // duplicates collapse, stays ascending
     assert(tiny == tiny.sorted && tiny.distinct == tiny && tiny.nonEmpty)
+  }
+
+  test("paperCheckpoints is the exact integer ceiling of j·|V|/200 for every |V| up to 200,000") {
+    for (nV <- 1L to 200000L) {
+      val exact = (1 to 10).map(j => -Math.floorDiv(-nV * j, 200L)).distinct
+      assert(Nrmse.paperCheckpoints(nV) == exact, s"|V| = $nV")
+    }
+    // 140·0.005·10 is 7.000000000000001 in floating point
+    assert(Nrmse.paperCheckpoints(140).last == 7)
   }
 
   test("paperCheckpoints rejects |V| < 1") {

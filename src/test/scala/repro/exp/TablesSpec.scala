@@ -1,10 +1,12 @@
 package repro.exp
 
 import org.apache.spark.sql.functions.col
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.{Millis, Seconds, Span}
 
 import repro.SparkSpec
 import repro.core.{Bounds, GroundTruth, Nrmse}
-import repro.graph.GraphOps
+import repro.graph.{CsrGraph, GraphOps}
 
 class TablesSpec extends SparkSpec {
 
@@ -48,6 +50,49 @@ class TablesSpec extends SparkSpec {
     val k = table.checkpoints.last
     table.results.foreach { case (_, m) => assert(m(k) >= v) }
     assert(table.results(alg)(k) == v)
+  }
+
+  /** `built` with a graph object of its own, so every broadcast block
+    * holding that graph comes from the calls under test.
+    */
+  private def withOwnGraph(b: Datasets.Built) =
+    b.copy(g = new CsrGraph(b.g.offsets, b.g.neighbors, b.g.labels))
+
+  test("two nrmseTable cells on one Built leave exactly one broadcast block holding its graph") {
+    val b = withOwnGraph(built)
+    Tables.nrmseTable(spark, b, b.pairs.head, sims = 4, seedBase = 1)
+    Tables.nrmseTable(spark, b, b.pairs.head, sims = 4, seedBase = 2)
+    assert(blocksHolding(b.g) == 1)
+    assert(b.graphBroadcast(spark.sparkContext) eq b.graphBroadcast(spark.sparkContext))
+    assert(blocksHolding(b.g) == 1)
+  }
+
+  test("a Built's broadcast is removed once the Built is garbage-collected") {
+    var b = withOwnGraph(built)
+    val g = b.g
+    Tables.nrmseTable(spark, b, b.pairs.head, sims = 4)
+    assert(blocksHolding(g) == 1)
+    b = null
+    // Spark's ContextCleaner removes a broadcast whose handle was collected
+    eventually(timeout(Span(30, Seconds)), interval(Span(200, Millis))) {
+      System.gc()
+      assert(blocksHolding(g) == 0)
+    }
+  }
+
+  test("nrmseTable's grid equals Nrmse.run on the dataset's graph, bit for bit") {
+    def bits(r: Map[String, Map[Int, Double]]) =
+      r.map { case (a, m) => a -> m.map { case (k, v) => k -> java.lang.Double.doubleToLongBits(v) } }
+    val p = built.pairs.head
+    val viaRun = Nrmse.run(spark, built.g, p.t1, p.t2, table.checkpoints, built.burnIn, 25, p.f, seedBase = 7)
+    assert(bits(table.results) == bits(viaRun))
+  }
+
+  test("nrmseTable rejects sims = 0 and a negative burn-in before it broadcasts the graph") {
+    val b = withOwnGraph(built)
+    intercept[IllegalArgumentException](Tables.nrmseTable(spark, b, b.pairs.head, sims = 0))
+    intercept[IllegalArgumentException](Tables.nrmseTable(spark, b.copy(burnIn = -1), b.pairs.head, sims = 2))
+    assert(blocksHolding(b.g) == 0)
   }
 
   test("boundsRow computes positive finite Theorem 4.1-4.5 bounds") {
