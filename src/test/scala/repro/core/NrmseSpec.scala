@@ -169,19 +169,6 @@ class NrmseSpec extends SparkSpec {
     intercept[IllegalArgumentException](Nrmse.runOn(spark, never, 1, 2, Seq(10), 50, sims = 2, f = 0, seedBase = 1))
   }
 
-  test("runOn leaves the caller's broadcast alive and equals run, bit for bit") {
-    val bc = spark.sparkContext.broadcast(g)
-    try {
-      def bits(r: Map[String, Map[Int, Double]]) =
-        r.map { case (a, m) => a -> m.map { case (k, v) => k -> java.lang.Double.doubleToLongBits(v) } }
-      val first = Nrmse.runOn(spark, bc, 1, 2, Seq(10, 25), 50, sims = 13, f = f, seedBase = 5)
-      val second = Nrmse.runOn(spark, bc, 1, 2, Seq(10, 25), 50, sims = 13, f = f, seedBase = 5)
-      assert(bc.value eq g)
-      val expected = bits(Nrmse.run(spark, g, 1, 2, Seq(10, 25), 50, sims = 13, f = f, seedBase = 5))
-      assert(bits(first) == expected && bits(second) == expected)
-    } finally bc.destroy()
-  }
-
   test("run and estimates reject a negative burn-in") {
     intercept[IllegalArgumentException](Nrmse.run(spark, g, 1, 2, Seq(10), -1, sims = 2, f = f))
     intercept[IllegalArgumentException](Nrmse.estimates(spark, g, 1, 2, Seq(10), -1, sims = 2, seedBase = 1))
