@@ -4,14 +4,15 @@
 Usage (from the repository root):
 
     python3 jobs/bench_pairs.py --parent REV --change REV --workload grid \
-        --seeds 1-10 --workdir DIR [--seconds 8] [--out FILE]
+        --seeds 1-10 --workdir DIR
 
 Each commit is extracted with `git archive` into its own directory under
 `--workdir`, so both sides build from committed files only. For every seed,
 `perfbench/run.py --workload W --seed N --seconds S --trace 0` runs once on
 each side, interleaved: odd seeds run the parent first, even seeds the change.
-The output has the layout of the committed BENCH_*.json files: the seeds, the
-machine (from the run records), each side's median, quartiles and IQR of every
+S is BENCHMARK.json's `run_seconds`. The output, BENCH_<workload>.json in the
+repository root, has the layout of the committed BENCH_*.json files: the
+seeds, the machine (from the run records), each side's median, quartiles and IQR of every
 end-to-end metric of BENCHMARK.json, how many seed pairs the change won per
 metric, and whether every grid digest of both sides is equal (null on a
 workload without grids).
@@ -89,9 +90,7 @@ def main():
     ap.add_argument("--change", required=True, help="git revision of the change")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, help="N or N-M (inclusive)")
-    ap.add_argument("--seconds", type=float, default=8)
     ap.add_argument("--workdir", required=True, help="scratch directory for the two checkouts")
-    ap.add_argument("--out", help="output file (default BENCH_<workload>.json in the repository root)")
     a = ap.parse_args()
     seeds = parse_seeds(a.seeds)
     if len(seeds) < 2:
@@ -101,6 +100,7 @@ def main():
     if a.workload not in {w["name"] for w in spec["workloads"]}:
         fail(f"unknown workload {a.workload!r}")
     metrics = spec["end_to_end"]
+    seconds = spec["run_seconds"]
 
     sides = {"parent": rev_parse(a.parent), "change": rev_parse(a.change)}
     checkouts = {side: os.path.join(os.path.abspath(a.workdir), side) for side in sides}
@@ -111,7 +111,7 @@ def main():
     for seed in seeds:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         for side in order:
-            m, rec = run_once(checkouts[side], a.workload, seed, a.seconds)
+            m, rec = run_once(checkouts[side], a.workload, seed, seconds)
             runs[side].append((m, rec))
             print(f"seed {seed} {side}: " + " ".join(f"{k}={m[k]:.6g}" for k in sorted(m)), flush=True)
 
@@ -132,7 +132,7 @@ def main():
     digests_equal = all(p == c for p, c in digest_pairs) if any(p or c for p, c in digest_pairs) else None
     out = {
         "workload": a.workload,
-        "command": f"python3 perfbench/run.py --workload {a.workload} --seed N --seconds {a.seconds:g} --trace 0",
+        "command": f"python3 perfbench/run.py --workload {a.workload} --seed N --seconds {seconds:g} --trace 0",
         "seeds": seeds,
         "order": "one parent and one change run per seed, alternating which runs first (odd seeds: parent first)",
         "quartiles": "Python statistics.quantiles(n=4) over the runs of one side",
@@ -144,7 +144,7 @@ def main():
         "pairs": pairs,
         "grid_digests_equal": digests_equal,
     }
-    path = a.out or os.path.join(ROOT, f"BENCH_{a.workload}.json")
+    path = os.path.join(ROOT, f"BENCH_{a.workload}.json")
     with open(path, "w") as fh:
         json.dump(out, fh, indent=2)
         fh.write("\n")

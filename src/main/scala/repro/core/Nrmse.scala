@@ -67,33 +67,29 @@ object Nrmse {
     }
   }
 
-  /** The sims × cells matrix of simulations `0 until sims`: row s is
-    * simulation s's estimates in the cell layout. The arguments are checked
-    * before `graph` is read, so a bad grid makes no broadcast; then one
-    * Spark job runs the simulations over it, one task per core, each task
-    * its slice of seeds as one `simulateBatch`.
+  /** The checks of a grid's fan-out arguments, made before its graph is
+    * broadcast: at least one simulation and a valid walk schedule.
     */
-  private def simulations(spark: SparkSession, graph: => Broadcast[CsrGraph], t1: Int, t2: Int,
-                          checkpoints: Seq[Int], burnInSteps: Int, sims: Int,
-                          seedBase: Long): Array[Array[Double]] = {
+  private[repro] def requireGrid(checkpoints: Seq[Int], burnInSteps: Int, sims: Int): Unit = {
     require(sims > 0, s"sims must be positive, got $sims")
     Walks.requireSchedule(checkpoints, burnInSteps)
-    val bc = graph
+  }
+
+  /** The sims × cells matrix of simulations `0 until sims` over the
+    * broadcast `graph`: row s is simulation s's estimates in the cell
+    * layout. One Spark job runs the simulations, one task per core, each
+    * task its slice of seeds as one `simulateBatch`. The caller has checked
+    * the arguments with [[requireGrid]].
+    */
+  private def simulations(spark: SparkSession, graph: Broadcast[CsrGraph], t1: Int, t2: Int,
+                          checkpoints: Seq[Int], burnInSteps: Int, sims: Int,
+                          seedBase: Long): Array[Array[Double]] = {
     val slices = math.min(sims, spark.sparkContext.defaultParallelism)
     spark.sparkContext
       .parallelize(0 until sims, slices)
-      .mapPartitions(part => simulateBatch(bc.value, t1, t2, checkpoints, burnInSteps,
+      .mapPartitions(part => simulateBatch(graph.value, t1, t2, checkpoints, burnInSteps,
                                            part.map(seedBase + _).toArray).iterator)
       .collect()
-  }
-
-  /** `body` over a broadcast of `g` that is made when `body` first reads it
-    * and destroyed before this returns.
-    */
-  private def broadcasting[A](spark: SparkSession, g: CsrGraph)(body: (=> Broadcast[CsrGraph]) => A): A = {
-    var bc: Broadcast[CsrGraph] = null
-    try body { if (bc == null) bc = spark.sparkContext.broadcast(g); bc }
-    finally if (bc != null) bc.destroy()
   }
 
   /** Raw estimates over `sims` independent simulations as a local DataFrame
@@ -104,7 +100,9 @@ object Nrmse {
                 checkpoints: Seq[Int], burnInSteps: Int, sims: Int,
                 seedBase: Long): DataFrame = {
     import spark.implicits._
-    val est = broadcasting(spark, g)(simulations(spark, _, t1, t2, checkpoints, burnInSteps, sims, seedBase))
+    requireGrid(checkpoints, burnInSteps, sims)
+    val bc = spark.sparkContext.broadcast(g)
+    val est = try simulations(spark, bc, t1, t2, checkpoints, burnInSteps, sims, seedBase) finally bc.destroy()
     val ks = checkpoints.toIndexedSeq
     est.indices.flatMap { sim =>
       est(sim).indices.map(c => (AllAlgorithms(c / ks.size), ks(c % ks.size), sim, est(sim)(c)))
@@ -144,15 +142,21 @@ object Nrmse {
     */
   def run(spark: SparkSession, g: CsrGraph, t1: Int, t2: Int,
           checkpoints: Seq[Int], burnInSteps: Int, sims: Int, f: Long,
-          seedBase: Long = 42L): Map[String, Map[Int, Double]] =
-    broadcasting(spark, g)(runOn(spark, _, t1, t2, checkpoints, burnInSteps, sims, f, seedBase))
+          seedBase: Long = 42L): Map[String, Map[Int, Double]] = {
+    requireGrid(checkpoints, burnInSteps, sims)
+    requirePositive(f)
+    val bc = spark.sparkContext.broadcast(g)
+    try runOn(spark, bc, t1, t2, checkpoints, burnInSteps, sims, f, seedBase) finally bc.destroy()
+  }
 
-  /** [[run]] over a broadcast graph that the caller owns and keeps: read
-    * only after every argument is checked, never destroyed here.
+  /** [[run]] over a broadcast graph that the caller owns and keeps: never
+    * destroyed here. A caller that broadcasts only for this grid checks it
+    * with [[requireGrid]] first.
     */
-  private[repro] def runOn(spark: SparkSession, graph: => Broadcast[CsrGraph], t1: Int, t2: Int,
+  private[repro] def runOn(spark: SparkSession, graph: Broadcast[CsrGraph], t1: Int, t2: Int,
                            checkpoints: Seq[Int], burnInSteps: Int, sims: Int, f: Long,
                            seedBase: Long): Map[String, Map[Int, Double]] = {
+    requireGrid(checkpoints, burnInSteps, sims)
     requirePositive(f)
     val est = simulations(spark, graph, t1, t2, checkpoints, burnInSteps, sims, seedBase)
     val nK = checkpoints.size

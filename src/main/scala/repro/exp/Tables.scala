@@ -41,12 +41,14 @@ object Tables {
   }
 
   /** Run one NRMSE grid — the experiment behind one of Tables 4–17 — on
-    * the dataset's shared broadcast of its graph.
+    * the dataset's shared broadcast of its graph, made only once the grid
+    * passes its checks.
     */
   def nrmseTable(spark: SparkSession, built: Datasets.Built,
                  pair: Datasets.LabelPair, sims: Int,
                  seedBase: Long = 42L): NrmseTable = {
     val cps = Nrmse.paperCheckpoints(built.nV)
+    Nrmse.requireGrid(cps, built.burnIn, sims)
     val results = Nrmse.runOn(spark, built.graphBroadcast(spark.sparkContext), pair.t1, pair.t2,
                               cps, built.burnIn, sims, pair.f, seedBase)
     NrmseTable(built.name, pair, built.nE, cps, results)

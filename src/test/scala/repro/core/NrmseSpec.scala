@@ -161,14 +161,6 @@ class NrmseSpec extends SparkSpec {
     intercept[IllegalArgumentException](Nrmse.estimates(spark, g, 1, 2, Seq(10), 50, sims = 0, seedBase = 1))
   }
 
-  test("runOn checks sims, the schedule and F before it reads the broadcast") {
-    def never = fail("runOn read the broadcast of a grid it must reject")
-    intercept[IllegalArgumentException](Nrmse.runOn(spark, never, 1, 2, Seq(10), 50, sims = 0, f = f, seedBase = 1))
-    intercept[IllegalArgumentException](Nrmse.runOn(spark, never, 1, 2, Seq(10), -1, sims = 2, f = f, seedBase = 1))
-    intercept[IllegalArgumentException](Nrmse.runOn(spark, never, 1, 2, Seq(20, 10), 50, sims = 2, f = f, seedBase = 1))
-    intercept[IllegalArgumentException](Nrmse.runOn(spark, never, 1, 2, Seq(10), 50, sims = 2, f = 0, seedBase = 1))
-  }
-
   test("run and estimates reject a negative burn-in") {
     intercept[IllegalArgumentException](Nrmse.run(spark, g, 1, 2, Seq(10), -1, sims = 2, f = f))
     intercept[IllegalArgumentException](Nrmse.estimates(spark, g, 1, 2, Seq(10), -1, sims = 2, seedBase = 1))
