@@ -4,7 +4,6 @@ import java.util.SplittableRandom
 
 import scala.collection.mutable
 
-import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
 import repro.baselines.LineGraphWalks
@@ -14,8 +13,8 @@ import repro.graph.CsrGraph
   *
   * The walk itself is sequential; the parallel dimension is the paper's 200
   * independent simulations per table cell. An RDD of simulation indices
-  * fans the walks out across cores over a broadcast of the CSR graph, made
-  * per call by `run` and `estimates` or owned by the caller of `runOn`.
+  * fans the walks out across cores over the CSR graph's one broadcast
+  * ([[CsrGraph.broadcast]]), which every grid over that graph shares.
   * Each task runs its simulations as one batch, with the NeighborSample
   * walks in lockstep lanes. Each simulation ships its estimates as one
   * `Array[Double]` in a fixed cell layout: cell j is
@@ -67,23 +66,18 @@ object Nrmse {
     }
   }
 
-  /** The checks of a grid's fan-out arguments, made before its graph is
-    * broadcast: at least one simulation and a valid walk schedule.
+  /** The sims × cells matrix of simulations `0 until sims` over `g`: row s
+    * is simulation s's estimates in the cell layout. The arguments are
+    * checked before `g` is broadcast, so a rejected grid makes no broadcast.
+    * One Spark job runs the simulations over `g`'s own broadcast, one task
+    * per core, each task its slice of seeds as one `simulateBatch`.
     */
-  private[repro] def requireGrid(checkpoints: Seq[Int], burnInSteps: Int, sims: Int): Unit = {
-    require(sims > 0, s"sims must be positive, got $sims")
-    Walks.requireSchedule(checkpoints, burnInSteps)
-  }
-
-  /** The sims × cells matrix of simulations `0 until sims` over the
-    * broadcast `graph`: row s is simulation s's estimates in the cell
-    * layout. One Spark job runs the simulations, one task per core, each
-    * task its slice of seeds as one `simulateBatch`. The caller has checked
-    * the arguments with [[requireGrid]].
-    */
-  private def simulations(spark: SparkSession, graph: Broadcast[CsrGraph], t1: Int, t2: Int,
+  private def simulations(spark: SparkSession, g: CsrGraph, t1: Int, t2: Int,
                           checkpoints: Seq[Int], burnInSteps: Int, sims: Int,
                           seedBase: Long): Array[Array[Double]] = {
+    require(sims > 0, s"sims must be positive, got $sims")
+    Walks.requireSchedule(checkpoints, burnInSteps)
+    val graph = g.broadcast(spark.sparkContext)
     val slices = math.min(sims, spark.sparkContext.defaultParallelism)
     spark.sparkContext
       .parallelize(0 until sims, slices)
@@ -100,9 +94,7 @@ object Nrmse {
                 checkpoints: Seq[Int], burnInSteps: Int, sims: Int,
                 seedBase: Long): DataFrame = {
     import spark.implicits._
-    requireGrid(checkpoints, burnInSteps, sims)
-    val bc = spark.sparkContext.broadcast(g)
-    val est = try simulations(spark, bc, t1, t2, checkpoints, burnInSteps, sims, seedBase) finally bc.destroy()
+    val est = simulations(spark, g, t1, t2, checkpoints, burnInSteps, sims, seedBase)
     val ks = checkpoints.toIndexedSeq
     est.indices.flatMap { sim =>
       est(sim).indices.map(c => (AllAlgorithms(c / ks.size), ks(c % ks.size), sim, est(sim)(c)))
@@ -138,27 +130,13 @@ object Nrmse {
   }
 
   /** End-to-end: algorithm -> k -> NRMSE for table printing, from one Spark
-    * job over the simulations on a broadcast of `g` made for this call.
+    * job over the simulations on `g`'s broadcast.
     */
   def run(spark: SparkSession, g: CsrGraph, t1: Int, t2: Int,
           checkpoints: Seq[Int], burnInSteps: Int, sims: Int, f: Long,
           seedBase: Long = 42L): Map[String, Map[Int, Double]] = {
-    requireGrid(checkpoints, burnInSteps, sims)
     requirePositive(f)
-    val bc = spark.sparkContext.broadcast(g)
-    try runOn(spark, bc, t1, t2, checkpoints, burnInSteps, sims, f, seedBase) finally bc.destroy()
-  }
-
-  /** [[run]] over a broadcast graph that the caller owns and keeps: never
-    * destroyed here. A caller that broadcasts only for this grid checks it
-    * with [[requireGrid]] first.
-    */
-  private[repro] def runOn(spark: SparkSession, graph: Broadcast[CsrGraph], t1: Int, t2: Int,
-                           checkpoints: Seq[Int], burnInSteps: Int, sims: Int, f: Long,
-                           seedBase: Long): Map[String, Map[Int, Double]] = {
-    requireGrid(checkpoints, burnInSteps, sims)
-    requirePositive(f)
-    val est = simulations(spark, graph, t1, t2, checkpoints, burnInSteps, sims, seedBase)
+    val est = simulations(spark, g, t1, t2, checkpoints, burnInSteps, sims, seedBase)
     val nK = checkpoints.size
     AllAlgorithms.zipWithIndex.map { case (alg, a) =>
       alg -> checkpoints.zipWithIndex.map { case (k, j) =>

@@ -40,23 +40,18 @@ object Tables {
     }
   }
 
-  /** Run one NRMSE grid — the experiment behind one of Tables 4–17 — on
-    * the dataset's shared broadcast of its graph, made only once the grid
-    * passes its checks.
-    */
+  /** Run one NRMSE grid — the experiment behind one of Tables 4–17. */
   def nrmseTable(spark: SparkSession, built: Datasets.Built,
                  pair: Datasets.LabelPair, sims: Int,
                  seedBase: Long = 42L): NrmseTable = {
     val cps = Nrmse.paperCheckpoints(built.nV)
-    Nrmse.requireGrid(cps, built.burnIn, sims)
-    val results = Nrmse.runOn(spark, built.graphBroadcast(spark.sparkContext), pair.t1, pair.t2,
-                              cps, built.burnIn, sims, pair.f, seedBase)
-    NrmseTable(built.name, pair, built.nE, cps, results)
+    NrmseTable(built.name, pair, built.nE, cps,
+               Nrmse.run(spark, built.g, pair.t1, pair.t2, cps, built.burnIn, sims, pair.f, seedBase))
   }
 
   /** One row of Tables 18–22: the five Theorem 4.1–4.5 bounds for a pair
     * at ε = δ = 0.1, from d(u) and T(u) read off the CSR graph. `spark` is
-    * unused but stays until perfbench's call to it narrows (ROADMAP item 4).
+    * unused but stays until perfbench's call to it narrows (ROADMAP item 2).
     */
   def boundsRow(@scala.annotation.unused spark: SparkSession, built: Datasets.Built,
                 pair: Datasets.LabelPair): Bounds.SampleBounds = {

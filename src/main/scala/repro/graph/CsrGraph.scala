@@ -2,6 +2,8 @@ package repro.graph
 
 import scala.collection.immutable.ArraySeq
 
+import org.apache.spark.SparkContext
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.DataFrame
 
 /** Compact in-memory labeled graph in CSR form — the "restricted API".
@@ -16,8 +18,8 @@ import org.apache.spark.sql.DataFrame
   *
   * Node ids must be the contiguous range [0, n); build via [[CsrGraph.fromDataFrames]]
   * after [[GraphOps.largestComponent]] remapping. The structure is a value
-  * object — broadcast it once per experiment and share across all simulated
-  * walks.
+  * object: [[broadcast]] ships it once per Spark context, and every
+  * simulated walk of every grid over it shares that broadcast.
   */
 final class CsrGraph(
     val offsets: Array[Int],    // length n+1; neighbor slice of u is [offsets(u), offsets(u+1))
@@ -82,6 +84,26 @@ final class CsrGraph(
     val lu = labels(u); val lv = labels(v)
     (lu == t1 && lv == t2) || (lu == t2 && lv == t1)
   }
+
+  @transient private var memo: Option[(SparkContext, Broadcast[CsrGraph])] = None
+
+  /** This graph broadcast on `sc`: made on first use, and made again if `sc`
+    * is another context or the memo's context has stopped. It is never
+    * destroyed here. The broadcast value is a twin over the same arrays, not
+    * `this`: Spark's block manager holds the value strongly, so if it were
+    * `this` the graph would keep its own handle alive. Only this graph holds
+    * the handle, so Spark's ContextCleaner removes the broadcast once the
+    * graph is garbage-collected.
+    */
+  def broadcast(sc: SparkContext): Broadcast[CsrGraph] = synchronized {
+    memo match {
+      case Some((memoSc, bc)) if (memoSc eq sc) && !sc.isStopped => bc
+      case _ =>
+        val bc = sc.broadcast(new CsrGraph(offsets, neighbors, labels))
+        memo = Some(sc -> bc)
+        bc
+    }
+  }
 }
 
 object CsrGraph {
@@ -104,6 +126,8 @@ object CsrGraph {
       .map(r => (r.getLong(0).toInt, r.getLong(1).toInt))
     val ls = labelDf.select("node", "label").collect()
       .map(r => (r.getLong(0).toInt, r.getInt(1)))
+    require(ls.nonEmpty, "a graph needs at least one labeled node, but the label DataFrame is empty " +
+      "(as it is when the largest connected component has no edge)")
     val n = ls.map(_._1).max + 1
     fromEdges(n, ArraySeq.unsafeWrapArray(es), ArraySeq.unsafeWrapArray(ls))
   }

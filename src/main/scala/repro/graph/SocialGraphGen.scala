@@ -15,7 +15,10 @@ import org.apache.spark.sql.types._
   * are sensitive to (see DESIGN.md §3).
   *
   * Output edge lists are canonicalized: undirected, no self-loops, no
-  * multi-edges, `src < dst`, deterministic in `(n, candidateEdges, seed)`.
+  * multi-edges, `src < dst`. They are deterministic in `(n, candidateEdges,
+  * seed)` only for a fixed partitioning of `spark.range`: each `rand(seed)`
+  * draw follows its row's partition, so another core count gives another
+  * graph (ROADMAP item 1).
   */
 object SocialGraphGen {
 

@@ -5,6 +5,7 @@ import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.BroadcastBlockId
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.graph.CsrGraph
 import repro.jobs.RunTables
 
 /** Base for every test: one local-mode SparkSession for the whole run.
@@ -16,17 +17,18 @@ import repro.jobs.RunTables
 trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
 
-  /** Broadcast value blocks in this JVM's block manager that hold `value`
-    * (Spark's own task-binary broadcasts stay until its ContextCleaner
-    * removes them).
+  /** The ids of the broadcasts whose value block in this JVM's block
+    * manager holds a `CsrGraph` over `neighbors`, compared by reference, so
+    * a test can follow a graph's broadcasts while it keeps only the array.
     */
-  def blocksHolding(value: AnyRef): Int = {
+  def broadcastsOfGraph(neighbors: Array[Int]): Set[Long] = {
     val blockManager = SparkEnv.get.blockManager
-    blockManager.getMatchingBlockIds(_.isBroadcast).count {
-      case id @ BroadcastBlockId(_, "") =>
-        blockManager.getLocalValues(id).exists(_.data.toList.exists(_.asInstanceOf[AnyRef] eq value))
-      case _ => false
-    }
+    blockManager.getMatchingBlockIds(_.isBroadcast).collect {
+      case id @ BroadcastBlockId(bid, "") if blockManager.getLocalValues(id).exists(_.data.toList.exists {
+        case g: CsrGraph => g.neighbors eq neighbors
+        case _ => false
+      }) => bid
+    }.toSet
   }
 }
 

@@ -3,7 +3,7 @@ package repro.core
 import java.util.SplittableRandom
 
 import org.scalatest.concurrent.Eventually._
-import org.scalatest.time.{Seconds, Span}
+import org.scalatest.time.{Millis, Seconds, Span}
 
 import repro.{SparkSpec, TestGraphs}
 import repro.baselines.LineGraphWalks
@@ -138,22 +138,30 @@ class NrmseSpec extends SparkSpec {
     }
   }
 
-  test("run releases its broadcast of the graph") {
-    // a graph object of this test's own, so every block holding it is run's
+  test("run, estimates and a second run on one graph share one broadcast block") {
+    // a graph of this test's own, so every block over its arrays is from these calls
     val graph = TestGraphs.connectedRandom(40, 80, seed = 95, nLabels = 3)
-    val before = blocksHolding(graph)
     Nrmse.run(spark, graph, 1, 2, Seq(10), 50, sims = 4, f = f, seedBase = 3)
-    // destroy() removes the blocks asynchronously
-    eventually(timeout(Span(10, Seconds)))(assert(blocksHolding(graph) <= before))
+    val first = broadcastsOfGraph(graph.neighbors)
+    assert(first.size == 1)
+    val df = Nrmse.estimates(spark, graph, 1, 2, Seq(10), 50, sims = 4, seedBase = 3)
+    Nrmse.run(spark, graph, 1, 2, Seq(10, 20), 50, sims = 4, f = f, seedBase = 4)
+    // the same broadcast, not a new one that replaced a collected first
+    assert(broadcastsOfGraph(graph.neighbors) == first)
+    assert(df.count() == 4L * 10)
   }
 
-  test("estimates releases its broadcast of the graph") {
-    val graph = TestGraphs.connectedRandom(40, 80, seed = 95, nLabels = 3)
-    val before = blocksHolding(graph)
-    val df = Nrmse.estimates(spark, graph, 1, 2, Seq(10), 50, sims = 4, seedBase = 3)
-    // released while the returned DataFrame is still alive and readable
-    eventually(timeout(Span(10, Seconds)))(assert(blocksHolding(graph) <= before))
-    assert(df.count() == 4L * 10)
+  test("a graph's broadcast is removed once the graph is garbage-collected") {
+    var graph = TestGraphs.connectedRandom(40, 80, seed = 95, nLabels = 3)
+    val neighbors = graph.neighbors
+    Nrmse.run(spark, graph, 1, 2, Seq(10), 50, sims = 4, f = f, seedBase = 3)
+    assert(broadcastsOfGraph(neighbors).size == 1)
+    graph = null
+    // Spark's ContextCleaner removes a broadcast whose handle was collected
+    eventually(timeout(Span(30, Seconds)), interval(Span(200, Millis))) {
+      System.gc()
+      assert(broadcastsOfGraph(neighbors).isEmpty)
+    }
   }
 
   test("run and estimates reject sims = 0") {

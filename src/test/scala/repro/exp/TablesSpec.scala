@@ -52,31 +52,32 @@ class TablesSpec extends SparkSpec {
     assert(table.results(alg)(k) == v)
   }
 
-  /** `built` with a graph object of its own, so every broadcast block
-    * holding that graph comes from the calls under test.
+  /** `built` with a graph of its own, over copies of its arrays, so every
+    * broadcast block over those arrays comes from the calls under test.
     */
   private def withOwnGraph(b: Datasets.Built) =
-    b.copy(g = new CsrGraph(b.g.offsets, b.g.neighbors, b.g.labels))
+    b.copy(g = new CsrGraph(b.g.offsets.clone(), b.g.neighbors.clone(), b.g.labels.clone()))
 
   test("two nrmseTable cells on one Built leave exactly one broadcast block holding its graph") {
     val b = withOwnGraph(built)
     Tables.nrmseTable(spark, b, b.pairs.head, sims = 4, seedBase = 1)
+    val first = broadcastsOfGraph(b.g.neighbors)
+    assert(first.size == 1)
     Tables.nrmseTable(spark, b, b.pairs.head, sims = 4, seedBase = 2)
-    assert(blocksHolding(b.g) == 1)
-    assert(b.graphBroadcast(spark.sparkContext) eq b.graphBroadcast(spark.sparkContext))
-    assert(blocksHolding(b.g) == 1)
+    assert(b.g.broadcast(spark.sparkContext) eq b.g.broadcast(spark.sparkContext))
+    assert(broadcastsOfGraph(b.g.neighbors) == first)
   }
 
   test("a Built's broadcast is removed once the Built is garbage-collected") {
     var b = withOwnGraph(built)
-    val g = b.g
+    val neighbors = b.g.neighbors
     Tables.nrmseTable(spark, b, b.pairs.head, sims = 4)
-    assert(blocksHolding(g) == 1)
+    assert(broadcastsOfGraph(neighbors).size == 1)
     b = null
     // Spark's ContextCleaner removes a broadcast whose handle was collected
     eventually(timeout(Span(30, Seconds)), interval(Span(200, Millis))) {
       System.gc()
-      assert(blocksHolding(g) == 0)
+      assert(broadcastsOfGraph(neighbors).isEmpty)
     }
   }
 
@@ -92,7 +93,7 @@ class TablesSpec extends SparkSpec {
     val b = withOwnGraph(built)
     intercept[IllegalArgumentException](Tables.nrmseTable(spark, b, b.pairs.head, sims = 0))
     intercept[IllegalArgumentException](Tables.nrmseTable(spark, b.copy(burnIn = -1), b.pairs.head, sims = 2))
-    assert(blocksHolding(b.g) == 0)
+    assert(broadcastsOfGraph(b.g.neighbors).isEmpty)
   }
 
   test("boundsRow computes positive finite Theorem 4.1-4.5 bounds") {

@@ -143,8 +143,16 @@ class CsrGraphSpec extends SparkSpec {
     }
   }
 
+  test("fromDataFrames rejects an empty graph with an error that names the cause") {
+    import spark.implicits._
+    val err = intercept[IllegalArgumentException](CsrGraph.fromDataFrames(
+      Seq.empty[(Long, Long)].toDF("src", "dst"), Seq.empty[(Long, Int)].toDF("node", "label")))
+    assert(err.getMessage.contains("label DataFrame is empty"), err.getMessage)
+  }
+
   test("CsrGraph survives java serialization (broadcast requirement)") {
     val g = TestGraphs.connectedRandom(20, 25, seed = 5)
+    g.broadcast(spark.sparkContext) // the memo of its broadcast is not serialized
     val bos = new java.io.ByteArrayOutputStream()
     new java.io.ObjectOutputStream(bos).writeObject(g)
     val g2 = new java.io.ObjectInputStream(
