@@ -46,6 +46,8 @@ object MixingTime {
 
   /** min{ t ≤ maxSteps : TV(π⁽ˢᵗᵃʳᵗ⁾Pᵗ, π) < eps }, or maxSteps if not reached. */
   def fromStart(g: CsrGraph, start: Int, eps: Double, maxSteps: Int): Int = {
+    require(eps > 0.0 && eps < 1.0, s"eps must lie in (0, 1), got $eps")
+    require(maxSteps >= 1, s"maxSteps must be at least 1, got $maxSteps")
     val pi = stationary(g)
     var p = new Array[Double](g.numNodes)
     p(start) = 1.0
@@ -69,11 +71,43 @@ object MixingTime {
 
   /** T(ε) over the sampled starts (paper uses ε = 1e-3). Fails if a start
     * does not reach ε within `maxSteps`: the cap would silently truncate
-    * the burn-in.
+    * the burn-in. Only then is the graph checked for being bipartite, so
+    * that a periodic walk, which no cap would fix, is named as such.
     */
   def estimate(g: CsrGraph, eps: Double, extraStarts: Int, maxSteps: Int): Int = {
     val t = startSample(g, extraStarts).map(fromStart(g, _, eps, maxSteps)).max
-    require(t < maxSteps, s"a start did not reach TV < $eps within the cap of $maxSteps steps")
+    require(t < maxSteps,
+      if (isBipartite(g)) s"the graph is bipartite, so the walk is periodic and never reaches TV < $eps: " +
+        "Eq. 23 has no finite T(eps)"
+      else s"a start did not reach TV < $eps within the cap of $maxSteps steps")
     t
+  }
+
+  /** Whether the nodes 2-colour so that every edge joins the two colours
+    * (one BFS per component): on a connected graph, exactly then the SRW
+    * chain has period 2.
+    */
+  private def isBipartite(g: CsrGraph): Boolean = {
+    val colour = Array.fill(g.numNodes)(-1)
+    val queue = new Array[Int](g.numNodes)
+    (0 until g.numNodes).forall { root =>
+      if (colour(root) >= 0) true
+      else {
+        colour(root) = 0
+        queue(0) = root
+        var head = 0; var tail = 1; var ok = true
+        while (ok && head < tail) {
+          val u = queue(head); head += 1
+          var i = g.offsets(u)
+          while (ok && i < g.offsets(u + 1)) {
+            val v = g.neighbors(i)
+            if (colour(v) < 0) { colour(v) = 1 - colour(u); queue(tail) = v; tail += 1 }
+            else ok = colour(v) != colour(u)
+            i += 1
+          }
+        }
+        ok
+      }
+    }
   }
 }

@@ -106,16 +106,16 @@ object Datasets {
 
   /** Build the dataset for `spec`. A function of `spec` only for a fixed
     * partitioning of `spark.range` (the generator's draws follow it, so the
-    * graph changes with the core count; ROADMAP item 1). Nothing stays
-    * cached once the CSR graph is collected, even if a later step fails, so
-    * callers hold the `Built`s they reuse.
+    * graph changes with the core count; ROADMAP item 1). Nothing is
+    * cached: the CSR collect reads each plan once, except that a degree-label
+    * build regenerates the edges for its degree count. Callers hold the
+    * `Built`s they reuse.
     */
   def build(spark: SparkSession, spec: Spec): Built = {
     val raw = SocialGraphGen.edges(spark, spec.n, spec.candidateEdges, spec.seed)
-    val (edges0, nodeMap) = GraphOps.largestComponent(spark, raw)
-    val edges = edges0.cache()
+    val (edges, nodeMap) = GraphOps.largestComponent(spark, raw)
     val degrees = GraphOps.degrees(edges)
-    val labels = (spec.scheme match {
+    val labels = spec.scheme match {
       case Gender(frac1) =>
         GraphOps.remapLabels(
           SocialGraphGen.genderLabels(spark, spec.n, frac1, spec.seed + 1), nodeMap)
@@ -124,10 +124,8 @@ object Datasets {
           SocialGraphGen.zipfLabels(spark, spec.n, nLabels, s, spec.seed + 1), nodeMap)
       case DegreeBuckets =>
         SocialGraphGen.degreeLabels(degrees) // degrees are already post-remap
-    }).cache()
-
-    val g = try CsrGraph.fromDataFrames(edges, labels)
-            finally { edges.unpersist(); labels.unpersist() }
+    }
+    val g = CsrGraph.fromDataFrames(edges, labels)
     val burnIn = MixingTime.estimate(g, eps = 1e-3, extraStarts = 2, maxSteps = 1000)
     val pairs = quartilePairs(GroundTruth.labelPairCounts(g), spec.nPairs, spec.minPairCount)
     Built(spec.name, g, edges, labels, degrees, burnIn, pairs)

@@ -37,8 +37,8 @@ object GraphOps {
     * The component comes from one union-find over the collected edge list:
     * the driver holds the graph anyway once it becomes a [[CsrGraph]]. Of
     * equal-size components the one holding the smallest node id is kept.
-    * Only the sorted node array is local; the remapped edges are joined
-    * from `edges`.
+    * Only the sorted node array is local; the remapped edges are one
+    * projection of `edges` that binary-searches it, with no join.
     */
   def largestComponent(spark: SparkSession, edges: DataFrame): (DataFrame, DataFrame) = {
     val es = edges.select("src", "dst").collect()
@@ -64,15 +64,15 @@ object GraphOps {
     // maxBy keeps the first maximum: the largest component with the smallest id
     val best = (0 until k).maxByOption(i => if (parent(i) == i) size(i) else 0)
     val keep = (0 until k).filter(i => best.contains(find(i))).map(ids).toArray
-    // newId is a position in `keep`, so the plan holds only that primitive array
+    // newId is a position in `keep`, so the plans hold only that primitive array
     val nodeAt = udf((i: Long) => keep(i.toInt))
     val nodeMap = spark.range(keep.length)
       .select(nodeAt(col("id")) as "node", col("id") as "newId")
-    // keep is ascending, so the remap preserves src < dst
-    val remapped = edges
-      .join(nodeMap.withColumnRenamed("node", "src").withColumnRenamed("newId", "s2"), Seq("src"))
-      .join(nodeMap.withColumnRenamed("node", "dst").withColumnRenamed("newId", "d2"), Seq("dst"))
-      .select(col("s2") as "src", col("d2") as "dst")
+    // an edge lies in the component exactly when its src does; keep is
+    // ascending, so the remap preserves src < dst
+    val newId = udf((node: Long) => java.util.Arrays.binarySearch(keep, node).toLong)
+    val remapped = edges.select(newId(col("src")) as "src", newId(col("dst")) as "dst")
+      .where(col("src") >= 0)
     (remapped, nodeMap)
   }
 

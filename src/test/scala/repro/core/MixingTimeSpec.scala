@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestGraphs}
+import repro.graph.CsrGraph
 
 class MixingTimeSpec extends SparkSpec {
 
@@ -35,11 +36,17 @@ class MixingTimeSpec extends SparkSpec {
     assert(MixingTime.fromStart(g, 0, eps = 1e-3, maxSteps = 200) <= 10)
   }
 
+  /** path(n) plus the chord (0, 2): the triangle 0-1-2 makes the chain aperiodic. */
+  private def chordedPath(n: Int) =
+    CsrGraph.fromEdges(n, (0 until n - 1).map(i => (i, i + 1)) :+ ((0, 2)))
+
   test("paths mix slower than complete graphs") {
+    // a plain path is bipartite and would never mix: tP would be the cap
     val k = TestGraphs.complete(16)
-    val p = TestGraphs.path(16)
+    val p = chordedPath(16)
     val tK = MixingTime.fromStart(k, 0, 1e-3, 5000)
     val tP = MixingTime.fromStart(p, 0, 1e-3, 5000)
+    assert(tP < 5000, s"path $tP hit the cap")
     assert(tP > 4 * tK, s"path $tP vs complete $tK")
   }
 
@@ -50,10 +57,31 @@ class MixingTimeSpec extends SparkSpec {
   }
 
   test("estimate fails loudly when a start hits the step cap") {
-    // path(4) is bipartite, so no start ever mixes
+    // the chorded path is aperiodic but needs far more than 50 steps
     val e = intercept[IllegalArgumentException](
-      MixingTime.estimate(TestGraphs.path(4), 1e-3, extraStarts = 2, maxSteps = 50))
+      MixingTime.estimate(chordedPath(16), 1e-3, extraStarts = 2, maxSteps = 50))
     assert(e.getMessage.contains("0.001") && e.getMessage.contains("50"), e.getMessage)
+    assert(!e.getMessage.contains("periodic"), e.getMessage)
+  }
+
+  test("estimate names a bipartite graph's walk as periodic") {
+    val evenCycle = CsrGraph.fromEdges(6, (0 until 6).map(i => (i, (i + 1) % 6)))
+    Seq(TestGraphs.path(4), TestGraphs.star(5), evenCycle).foreach { g =>
+      val e = intercept[IllegalArgumentException](
+        MixingTime.estimate(g, 1e-3, extraStarts = 2, maxSteps = 50))
+      assert(e.getMessage.contains("bipartite") && e.getMessage.contains("periodic"), e.getMessage)
+    }
+  }
+
+  test("estimate and fromStart reject an eps outside (0, 1) and a cap below 1") {
+    val g = TestGraphs.complete(6)
+    Seq(Double.NaN, 0.0, -0.1, 1.0, 2.0).foreach { eps =>
+      intercept[IllegalArgumentException](MixingTime.estimate(g, eps, extraStarts = 2, maxSteps = 100))
+      intercept[IllegalArgumentException](MixingTime.fromStart(g, 0, eps, maxSteps = 100))
+    }
+    Seq(0, -1).foreach { cap =>
+      intercept[IllegalArgumentException](MixingTime.estimate(g, 1e-3, extraStarts = 2, maxSteps = cap))
+    }
   }
 
   test("after the reported mixing time TV is below eps") {

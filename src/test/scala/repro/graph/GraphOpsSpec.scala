@@ -1,5 +1,6 @@
 package repro.graph
 
+import org.apache.spark.sql.catalyst.plans.logical.Join
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec, TestGraphs}
@@ -98,6 +99,12 @@ class GraphOpsSpec extends SparkSpec {
     val endpoints = edges.select("src").union(edges.select("dst"))
       .collect().map(_.getLong(0)).toSet
     assert(endpoints == Set(0L, 1L, 2L))
+  }
+
+  test("largestComponent remaps the edges without a join") {
+    val (edges, _) = GraphOps.largestComponent(spark, rawDf((0L, 1L), (1L, 2L), (0L, 2L), (10L, 11L)))
+    val plan = edges.queryExecution.optimizedPlan
+    assert(plan.collect { case j: Join => j }.isEmpty, plan.toString)
   }
 
   test("largestComponent preserves edge structure up to relabeling") {
