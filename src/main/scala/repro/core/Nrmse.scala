@@ -1,6 +1,7 @@
 package repro.core
 
 import java.util.SplittableRandom
+import java.util.stream.IntStream
 
 import scala.collection.mutable
 
@@ -12,16 +13,17 @@ import repro.graph.CsrGraph
 /** NRMSE experiment harness (paper Eq. 24).
   *
   * The walk itself is sequential; the parallel dimension is the paper's 200
-  * independent simulations per table cell. An RDD of simulation indices
-  * fans the walks out across cores over the CSR graph's one broadcast
-  * ([[CsrGraph.broadcast]]), which every grid over that graph shares.
-  * Each task runs its simulations as one batch, with the NeighborSample
-  * walks in lockstep lanes. Each simulation ships its estimates as one
+  * independent simulations per table cell. They fan out in-process, over
+  * the driver's own CSR graph, on the JVM's common fork-join pool: the
+  * graph is already on the driver, and a Spark job per grid would cost
+  * more than the lite-budget walks it runs (DESIGN.md, layering note).
+  * Each slice of seeds runs as one batch, with the NeighborSample walks in
+  * lockstep lanes. Each simulation yields its estimates as one
   * `Array[Double]` in a fixed cell layout: cell j is
   * (`AllAlgorithms(j / nK)`, `checkpoints(j % nK)`) over the nK strictly
   * ascending checkpoints. The driver computes each cell's NRMSE from its
   * column of the sims × cells matrix, in simulation order, so a grid does
-  * not depend on how the simulations were partitioned.
+  * not depend on how the simulations were sliced.
   */
 object Nrmse {
 
@@ -67,23 +69,22 @@ object Nrmse {
   }
 
   /** The sims × cells matrix of simulations `0 until sims` over `g`: row s
-    * is simulation s's estimates in the cell layout. The arguments are
-    * checked before `g` is broadcast, so a rejected grid makes no broadcast.
-    * One Spark job runs the simulations over `g`'s own broadcast, one task
-    * per core, each task its slice of seeds as one `simulateBatch`.
+    * is simulation s's estimates in the cell layout. The seeds are cut into
+    * one contiguous slice per Spark core (`defaultParallelism`), and each
+    * slice runs as one `simulateBatch` on the common fork-join pool, which
+    * the calling thread joins. A walker's exception reaches the caller.
     */
   private def simulations(spark: SparkSession, g: CsrGraph, t1: Int, t2: Int,
                           checkpoints: Seq[Int], burnInSteps: Int, sims: Int,
                           seedBase: Long): Array[Array[Double]] = {
     require(sims > 0, s"sims must be positive, got $sims")
     Walks.requireSchedule(checkpoints, burnInSteps)
-    val graph = g.broadcast(spark.sparkContext)
     val slices = math.min(sims, spark.sparkContext.defaultParallelism)
-    spark.sparkContext
-      .parallelize(0 until sims, slices)
-      .mapPartitions(part => simulateBatch(graph.value, t1, t2, checkpoints, burnInSteps,
-                                           part.map(seedBase + _).toArray).iterator)
-      .collect()
+    IntStream.range(0, slices).parallel().mapToObj { i =>
+      val from = (i.toLong * sims / slices).toInt
+      val until = ((i + 1).toLong * sims / slices).toInt
+      simulateBatch(g, t1, t2, checkpoints, burnInSteps, Array.range(from, until).map(seedBase + _))
+    }.toArray(new Array[Array[Array[Double]]](_)).flatten
   }
 
   /** Raw estimates over `sims` independent simulations as a local DataFrame
@@ -129,8 +130,8 @@ object Nrmse {
       .toDF("algorithm", "k", "nrmse")
   }
 
-  /** End-to-end: algorithm -> k -> NRMSE for table printing, from one Spark
-    * job over the simulations on `g`'s broadcast.
+  /** End-to-end: algorithm -> k -> NRMSE for table printing, from one
+    * in-process fan-out of the simulations over `g`.
     */
   def run(spark: SparkSession, g: CsrGraph, t1: Int, t2: Int,
           checkpoints: Seq[Int], burnInSteps: Int, sims: Int, f: Long,

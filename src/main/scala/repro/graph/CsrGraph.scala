@@ -2,8 +2,6 @@ package repro.graph
 
 import scala.collection.immutable.ArraySeq
 
-import org.apache.spark.SparkContext
-import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.DataFrame
 
 /** Compact in-memory labeled graph in CSR form — the "restricted API".
@@ -18,8 +16,8 @@ import org.apache.spark.sql.DataFrame
   *
   * Node ids must be the contiguous range [0, n); build via [[CsrGraph.fromDataFrames]]
   * after [[GraphOps.largestComponent]] remapping. The structure is a value
-  * object: [[broadcast]] ships it once per Spark context, and every
-  * simulated walk of every grid over it shares that broadcast.
+  * object that nothing writes after it is built, so every simulated walk of
+  * every grid over it reads the same arrays, from any number of threads.
   */
 final class CsrGraph(
     val offsets: Array[Int],    // length n+1; neighbor slice of u is [offsets(u), offsets(u+1))
@@ -83,26 +81,6 @@ final class CsrGraph(
   def isTargetEdge(u: Int, v: Int, t1: Int, t2: Int): Boolean = {
     val lu = labels(u); val lv = labels(v)
     (lu == t1 && lv == t2) || (lu == t2 && lv == t1)
-  }
-
-  @transient private var memo: Option[(SparkContext, Broadcast[CsrGraph])] = None
-
-  /** This graph broadcast on `sc`: made on first use, and made again if `sc`
-    * is another context or the memo's context has stopped. It is never
-    * destroyed here. The broadcast value is a twin over the same arrays, not
-    * `this`: Spark's block manager holds the value strongly, so if it were
-    * `this` the graph would keep its own handle alive. Only this graph holds
-    * the handle, so Spark's ContextCleaner removes the broadcast once the
-    * graph is garbage-collected.
-    */
-  def broadcast(sc: SparkContext): Broadcast[CsrGraph] = synchronized {
-    memo match {
-      case Some((memoSc, bc)) if (memoSc eq sc) && !sc.isStopped => bc
-      case _ =>
-        val bc = sc.broadcast(new CsrGraph(offsets, neighbors, labels))
-        memo = Some(sc -> bc)
-        bc
-    }
   }
 }
 

@@ -1,11 +1,12 @@
 package repro
 
-import org.apache.spark.SparkEnv
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
+
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.storage.BroadcastBlockId
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.graph.CsrGraph
 import repro.jobs.RunTables
 
 /** Base for every test: one local-mode SparkSession for the whole run.
@@ -17,18 +18,35 @@ import repro.jobs.RunTables
 trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
 
-  /** The ids of the broadcasts whose value block in this JVM's block
-    * manager holds a `CsrGraph` over `neighbors`, compared by reference, so
-    * a test can follow a graph's broadcasts while it keeps only the array.
+  /** The number of Spark jobs that start while `body` runs. Two marker jobs
+    * bracket it, and the count is read once the listener has seen the
+    * closing one, so no job event is still in flight.
     */
-  def broadcastsOfGraph(neighbors: Array[Int]): Set[Long] = {
-    val blockManager = SparkEnv.get.blockManager
-    blockManager.getMatchingBlockIds(_.isBroadcast).collect {
-      case id @ BroadcastBlockId(bid, "") if blockManager.getLocalValues(id).exists(_.data.toList.exists {
-        case g: CsrGraph => g.neighbors eq neighbors
-        case _ => false
-      }) => bid
-    }.toSet
+  def jobsStartedDuring(body: => Any): Int = {
+    val sc = spark.sparkContext
+    val marker = "repro.SparkSpec.marker"
+    val started = new AtomicInteger
+    val (opened, closed) = (new CountDownLatch(1), new CountDownLatch(1))
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).flatMap(p => Option(p.getProperty(marker))) match {
+          case Some("open") => opened.countDown()
+          case Some(_) => closed.countDown()
+          case None => if (opened.getCount == 0 && closed.getCount == 1) started.incrementAndGet()
+        }
+    }
+    def markerJob(tag: String): Unit = {
+      sc.setLocalProperty(marker, tag)
+      try sc.parallelize(Seq(1), 1).count() finally sc.setLocalProperty(marker, null)
+    }
+    sc.addSparkListener(listener)
+    try {
+      markerJob("open")
+      body
+      markerJob("close")
+      assert(closed.await(60, TimeUnit.SECONDS), "the closing marker job never reached the listener")
+      started.get
+    } finally sc.removeSparkListener(listener)
   }
 }
 

@@ -1,12 +1,11 @@
 package repro.core
 
 import java.util.SplittableRandom
-
-import org.scalatest.concurrent.Eventually._
-import org.scalatest.time.{Millis, Seconds, Span}
+import java.util.concurrent.{ConcurrentLinkedQueue, CyclicBarrier}
 
 import repro.{SparkSpec, TestGraphs}
 import repro.baselines.LineGraphWalks
+import repro.graph.CsrGraph
 
 class NrmseSpec extends SparkSpec {
 
@@ -138,30 +137,39 @@ class NrmseSpec extends SparkSpec {
     }
   }
 
-  test("run, estimates and a second run on one graph share one broadcast block") {
-    // a graph of this test's own, so every block over its arrays is from these calls
-    val graph = TestGraphs.connectedRandom(40, 80, seed = 95, nLabels = 3)
-    Nrmse.run(spark, graph, 1, 2, Seq(10), 50, sims = 4, f = f, seedBase = 3)
-    val first = broadcastsOfGraph(graph.neighbors)
-    assert(first.size == 1)
-    val df = Nrmse.estimates(spark, graph, 1, 2, Seq(10), 50, sims = 4, seedBase = 3)
-    Nrmse.run(spark, graph, 1, 2, Seq(10, 20), 50, sims = 4, f = f, seedBase = 4)
-    // the same broadcast, not a new one that replaced a collected first
-    assert(broadcastsOfGraph(graph.neighbors) == first)
-    assert(df.count() == 4L * 10)
+  test("run and estimates start no Spark job") {
+    val jobs = jobsStartedDuring {
+      Nrmse.run(spark, g, 1, 2, Seq(10, 20), 50, sims = 8, f = f, seedBase = 3)
+      Nrmse.estimates(spark, g, 1, 2, Seq(10, 20), 50, sims = 8, seedBase = 3)
+    }
+    assert(jobs == 0)
   }
 
-  test("a graph's broadcast is removed once the graph is garbage-collected") {
-    var graph = TestGraphs.connectedRandom(40, 80, seed = 95, nLabels = 3)
-    val neighbors = graph.neighbors
-    Nrmse.run(spark, graph, 1, 2, Seq(10), 50, sims = 4, f = f, seedBase = 3)
-    assert(broadcastsOfGraph(neighbors).size == 1)
-    graph = null
-    // Spark's ContextCleaner removes a broadcast whose handle was collected
-    eventually(timeout(Span(30, Seconds)), interval(Span(200, Millis))) {
-      System.gc()
-      assert(broadcastsOfGraph(neighbors).isEmpty)
+  test("two threads running run on one graph at once each get the serial grid, bit for bit") {
+    def bits(r: Map[String, Map[Int, Double]]) =
+      r.map { case (a, m) => a -> m.map { case (k, v) => k -> java.lang.Double.doubleToLongBits(v) } }
+    val (cps, sims) = (Seq(10, 25, 40), 40)
+    val serial = bits(Nrmse.run(spark, g, 1, 2, cps, 50, sims, f, seedBase = 17))
+    val start = new CyclicBarrier(2)
+    val results = new Array[Map[String, Map[Int, Long]]](2)
+    val errors = new ConcurrentLinkedQueue[Throwable]
+    val threads = Array.tabulate(2) { i =>
+      new Thread(() => try {
+        start.await()
+        results(i) = bits(Nrmse.run(spark, g, 1, 2, cps, 50, sims, f, seedBase = 17))
+      } catch { case e: Throwable => errors.add(e) })
     }
+    threads.foreach(_.start())
+    threads.foreach(_.join())
+    assert(errors.isEmpty, errors)
+    results.foreach(r => assert(r == serial))
+  }
+
+  test("a walker's exception inside a slice reaches the caller as its own type") {
+    // one isolated node: the first walk step draws from an empty friend list
+    val lone = CsrGraph.fromEdges(1, Nil)
+    val e = intercept[IllegalArgumentException](Nrmse.run(spark, lone, 0, 0, Seq(1), 0, sims = 8, f = 1))
+    assert(e.getMessage.contains("bound must be positive, got 0"), e.getMessage)
   }
 
   test("run and estimates reject sims = 0") {

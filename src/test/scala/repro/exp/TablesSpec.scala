@@ -1,12 +1,10 @@
 package repro.exp
 
 import org.apache.spark.sql.functions.col
-import org.scalatest.concurrent.Eventually._
-import org.scalatest.time.{Millis, Seconds, Span}
 
 import repro.SparkSpec
 import repro.core.{Bounds, GroundTruth, Nrmse}
-import repro.graph.{CsrGraph, GraphOps}
+import repro.graph.GraphOps
 
 class TablesSpec extends SparkSpec {
 
@@ -52,33 +50,9 @@ class TablesSpec extends SparkSpec {
     assert(table.results(alg)(k) == v)
   }
 
-  /** `built` with a graph of its own, over copies of its arrays, so every
-    * broadcast block over those arrays comes from the calls under test.
-    */
-  private def withOwnGraph(b: Datasets.Built) =
-    b.copy(g = new CsrGraph(b.g.offsets.clone(), b.g.neighbors.clone(), b.g.labels.clone()))
-
-  test("two nrmseTable cells on one Built leave exactly one broadcast block holding its graph") {
-    val b = withOwnGraph(built)
-    Tables.nrmseTable(spark, b, b.pairs.head, sims = 4, seedBase = 1)
-    val first = broadcastsOfGraph(b.g.neighbors)
-    assert(first.size == 1)
-    Tables.nrmseTable(spark, b, b.pairs.head, sims = 4, seedBase = 2)
-    assert(b.g.broadcast(spark.sparkContext) eq b.g.broadcast(spark.sparkContext))
-    assert(broadcastsOfGraph(b.g.neighbors) == first)
-  }
-
-  test("a Built's broadcast is removed once the Built is garbage-collected") {
-    var b = withOwnGraph(built)
-    val neighbors = b.g.neighbors
-    Tables.nrmseTable(spark, b, b.pairs.head, sims = 4)
-    assert(broadcastsOfGraph(neighbors).size == 1)
-    b = null
-    // Spark's ContextCleaner removes a broadcast whose handle was collected
-    eventually(timeout(Span(30, Seconds)), interval(Span(200, Millis))) {
-      System.gc()
-      assert(broadcastsOfGraph(neighbors).isEmpty)
-    }
+  test("nrmseTable starts no Spark job") {
+    val b = built // built before the count: the build itself runs Spark jobs
+    assert(jobsStartedDuring(Tables.nrmseTable(spark, b, b.pairs.head, sims = 8, seedBase = 1)) == 0)
   }
 
   test("nrmseTable's grid equals Nrmse.run on the dataset's graph, bit for bit") {
@@ -89,11 +63,9 @@ class TablesSpec extends SparkSpec {
     assert(bits(table.results) == bits(viaRun))
   }
 
-  test("nrmseTable rejects sims = 0 and a negative burn-in before it broadcasts the graph") {
-    val b = withOwnGraph(built)
-    intercept[IllegalArgumentException](Tables.nrmseTable(spark, b, b.pairs.head, sims = 0))
-    intercept[IllegalArgumentException](Tables.nrmseTable(spark, b.copy(burnIn = -1), b.pairs.head, sims = 2))
-    assert(broadcastsOfGraph(b.g.neighbors).isEmpty)
+  test("nrmseTable rejects sims = 0 and a negative burn-in") {
+    intercept[IllegalArgumentException](Tables.nrmseTable(spark, built, built.pairs.head, sims = 0))
+    intercept[IllegalArgumentException](Tables.nrmseTable(spark, built.copy(burnIn = -1), built.pairs.head, sims = 2))
   }
 
   test("boundsRow computes positive finite Theorem 4.1-4.5 bounds") {

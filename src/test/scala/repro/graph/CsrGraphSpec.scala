@@ -152,7 +152,6 @@ class CsrGraphSpec extends SparkSpec {
 
   test("CsrGraph survives java serialization (broadcast requirement)") {
     val g = TestGraphs.connectedRandom(20, 25, seed = 5)
-    g.broadcast(spark.sparkContext) // the memo of its broadcast is not serialized
     val bos = new java.io.ByteArrayOutputStream()
     new java.io.ObjectOutputStream(bos).writeObject(g)
     val g2 = new java.io.ObjectInputStream(
